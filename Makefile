@@ -38,13 +38,14 @@ test-race: vet
 
 # Fault-tolerance soak: every workload × every fault class (corrupt byte,
 # truncation, field flip, producer/worker panic, stall + deadline) through
-# the salvage paths, plus the network soak (daemon kill/restart with
+# the paths the tools run (cliutil.Events and trace.DrainContext into the
+# NewParallel profilers), plus the network soak (daemon kill/restart with
 # resume, connection resets, stalled reads, partial writes, refused
 # connections) and the cluster soak (shard and router kill/restart
 # mid-stream with byte-identical merged reports, flapping/slow/partitioned
 # shards), with goroutine-leak checks. Run this for any change touching
-# the error model, tracefmt resync, the salvage entry points, or the
-# service layer.
+# the error model, tracefmt resync, the drain, cliutil, or the service
+# layer.
 test-soak: build
 	$(GO) test -run 'TestSoak' -timeout 600s -v .
 

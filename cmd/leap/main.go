@@ -77,12 +77,10 @@ func runOne(workload string, cfg workloads.Config, maxLMADs int, out string, wor
 	}
 
 	var deg cliutil.Degraded
-	lp := leap.NewParallel(ev.Sites, maxLMADs, workers)
-	_, perr := ev.Pass(lp)
-	if err := deg.Check(perr); err != nil {
+	profile, err := cliutil.Analyze(ev, &deg, leap.NewParallel(ev.Sites, maxLMADs, workers))
+	if err != nil {
 		return err
 	}
-	profile := lp.Profile(ev.Name)
 
 	accPct, instrPct := profile.SampleQuality()
 	fmt.Printf("workload %s: %d accesses, %d streams, %d LMADs\n",

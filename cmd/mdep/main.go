@@ -126,12 +126,11 @@ func depOne(ev *cliutil.Events, maxLMADs, window int, seed uint64) error {
 			leapRes = depend.FromLEAP(lp.Profile(ev.Name))
 		}
 	} else {
-		lp := leap.New(ev.Sites, maxLMADs)
-		_, perr = ev.Pass(lp)
-		if err := deg.Check(perr); err != nil {
+		lprof, err := cliutil.Analyze(ev, &deg, leap.New(ev.Sites, maxLMADs))
+		if err != nil {
 			return err
 		}
-		leapRes = depend.FromLEAP(lp.Profile(ev.Name))
+		leapRes = depend.FromLEAP(lprof)
 	}
 	con := depend.NewConnors(window)
 	_, perr = ev.Pass(con)

@@ -59,12 +59,9 @@ func grammarCmd(args []string) error {
 		}
 		profile = wp.Profile(ev.Name)
 	} else {
-		wp := whomp.NewParallel(ev.Sites, *workers)
-		_, perr := ev.Pass(wp)
-		if err := deg.Check(perr); err != nil {
+		if profile, err = cliutil.Analyze(ev, &deg, whomp.NewParallel(ev.Sites, *workers)); err != nil {
 			return err
 		}
-		profile = wp.Profile(ev.Name)
 	}
 	g := profile.Grammars[dim]
 

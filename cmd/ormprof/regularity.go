@@ -27,11 +27,10 @@ func regularityCmd(args []string) error {
 	}
 	var deg cliutil.Degraded
 	lp := leap.NewParallel(ev.Sites, 0, 0)
-	_, perr := ev.Pass(lp)
-	if err := deg.Check(perr); err != nil {
+	profile, err := cliutil.Analyze(ev, &deg, lp)
+	if err != nil {
 		return err
 	}
-	profile := lp.Profile(ev.Name)
 
 	type row struct {
 		key     leap.StreamKey

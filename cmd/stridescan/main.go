@@ -101,12 +101,11 @@ func scanOne(ev *cliutil.Events, maxLMADs, workers int, seed uint64) error {
 	if err := deg.Check(perr); err != nil {
 		return err
 	}
-	lp := leap.NewParallel(ev.Sites, maxLMADs, workers)
-	_, perr = ev.Pass(lp)
-	if err := deg.Check(perr); err != nil {
+	lprof, err := cliutil.Analyze(ev, &deg, leap.NewParallel(ev.Sites, maxLMADs, workers))
+	if err != nil {
 		return err
 	}
-	est := stride.FromLEAPParallel(lp.Profile(ev.Name), workers)
+	est := stride.FromLEAP(lprof)
 	strong := ideal.StronglyStrided()
 	real := stride.SortedIDs(strong)
 

@@ -98,15 +98,13 @@ func runOne(workload string, cfg workloads.Config, out string, workers int, tf *
 	}
 	var deg cliutil.Degraded
 
-	wp := whomp.NewParallel(ev.Sites, workers)
-	_, perr := ev.Pass(wp)
-	if err := deg.Check(perr); err != nil {
+	profile, err := cliutil.Analyze(ev, &deg, whomp.NewParallel(ev.Sites, workers))
+	if err != nil {
 		return err
 	}
-	profile := wp.Profile(ev.Name)
 
 	rasg := whomp.NewRASG()
-	_, perr = ev.Pass(rasg)
+	_, perr := ev.Pass(rasg)
 	if err := deg.Check(perr); err != nil {
 		return err
 	}

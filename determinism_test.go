@@ -48,7 +48,7 @@ func TestPipelineDeterminismAcrossWorkerCounts(t *testing.T) {
 				if _, err := leapProfile.WriteTo(&lb); err != nil {
 					t.Fatalf("workers=%d: leap WriteTo: %v", workers, err)
 				}
-				report := stride.FromLEAPParallel(leapProfile, workers)
+				report := stride.FromLEAP(leapProfile)
 
 				if workers == determinismWorkers[0] {
 					refWhomp, refLeap, refStride = wb.Bytes(), lb.Bytes(), report

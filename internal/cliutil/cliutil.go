@@ -315,10 +315,12 @@ func openReplay(path string) (*Events, error) {
 }
 
 // Pass streams one complete pass of the event stream into sink and reports
-// the number of events delivered. Replay passes hold O(batch) events in
-// memory; live passes replay the run's buffer. When -deadline is set, all
-// passes of the invocation share one time budget (the clock starts at the
-// first pass), so -deadline bounds the tool's total event-stream work
+// the number of events delivered. Every pass, live or replayed, runs on
+// trace.DrainContext, so a panic in the sink comes back as a
+// *trace.PanicError. Replay passes hold O(batch) events in memory; live
+// passes replay the run's buffer. When -deadline is set, all passes of
+// the invocation share one time budget (the clock starts at the first
+// pass), so -deadline bounds the tool's total event-stream work
 // rather than multiplying by the pass count; with -lenient the replay
 // reader resynchronizes past damaged frames and the pass returns the
 // salvaged count alongside a *tracefmt.CorruptionError. Either way a
@@ -335,10 +337,6 @@ func (ev *Events) Pass(sink trace.Sink) (int, error) {
 		defer cancel()
 	}
 	if ev.path == "" {
-		if ev.deadline <= 0 {
-			ev.buf.Replay(sink)
-			return ev.buf.Len(), nil
-		}
 		return trace.DrainContext(ctx, ev.buf.Source(), sink)
 	}
 	f, err := os.Open(ev.path)
@@ -360,6 +358,31 @@ func (ev *Events) Pass(sink trace.Sink) (int, error) {
 		return n, fmt.Errorf("%s: %w", ev.path, err)
 	}
 	return n, nil
+}
+
+// Analysis is the shape every analysis pipeline shows a tool: a trace
+// sink that finalizes into a profile, and then reports the first fault of
+// its fan-out workers. whomp.Profiler and leap.Profiler satisfy it.
+type Analysis[P any] interface {
+	trace.Sink
+	Profile(workload string) P
+	Err() error
+}
+
+// Analyze is the one way a tool profiles an event stream: one Pass into a,
+// then a.Profile, then a.Err. Faults from the drain and from the workers
+// (a *profiler.WorkerError) both go through deg, so a salvaged run still
+// returns its partial profile and the tool exits 2. A hard pass error
+// comes back, with no profile, to abort the tool; a.Profile still runs
+// first, so the workers are joined either way.
+func Analyze[P any](ev *Events, deg *Degraded, a Analysis[P]) (P, error) {
+	_, perr := ev.Pass(a)
+	prof := a.Profile(ev.Name)
+	if err := deg.Check(perr); err != nil {
+		var none P
+		return none, err
+	}
+	return prof, deg.Check(a.Err())
 }
 
 // Stats reports the trace reader's counters from the most recent replay

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"ormprof/internal/faultinject"
+	"ormprof/internal/leap"
 	"ormprof/internal/profiler"
 	"ormprof/internal/trace"
 	"ormprof/internal/tracefmt"
@@ -326,5 +328,57 @@ func TestDeadlineSharedAcrossPasses(t *testing.T) {
 		if _, err := ev2.Pass(trace.Discard); err != nil {
 			t.Fatalf("pass %d without deadline: %v", i, err)
 		}
+	}
+}
+
+// TestLivePassContainsSinkPanic: a live pass without -deadline runs on the
+// same contained drain as a replay pass, so a panicking sink comes back as
+// a *trace.PanicError with the events before it counted.
+func TestLivePassContainsSinkPanic(t *testing.T) {
+	ev, err := (&TraceFlags{}).Load("linkedlist", workloads.Config{Scale: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	n, err := ev.Pass(trace.SinkFunc(func(trace.Event) {
+		if seen == 100 {
+			panic("sink exploded")
+		}
+		seen++
+	}))
+	var pe *trace.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("live pass error = %v, want *trace.PanicError", err)
+	}
+	if n != 100 || ExitCode(err) != 2 {
+		t.Errorf("live pass = (%d, exit %d), want (100, exit 2)", n, ExitCode(err))
+	}
+}
+
+// TestAnalyzeReportsWorkerPanic: a worker panic in a parallel pipeline is
+// recorded by its fan-out stage, not raised by the drain. Analyze must
+// read the pipeline's Err after Profile, so the tool keeps the partial
+// profile and exits 2 instead of 0.
+func TestAnalyzeReportsWorkerPanic(t *testing.T) {
+	ev, err := (&TraceFlags{}).Load("linkedlist", workloads.Config{Scale: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clean Degraded
+	if _, err := Analyze(ev, &clean, leap.NewParallel(ev.Sites, 0, 4)); err != nil || clean.Err() != nil {
+		t.Fatalf("clean parallel run: err %v, degraded %v", err, clean.Err())
+	}
+
+	var deg Degraded
+	routed, err := Analyze(ev, &deg, faultinject.NewCrashingLEAP(ev.Sites, 4, 10))
+	if err != nil {
+		t.Fatalf("worker panic treated as a hard error: %v", err)
+	}
+	var we *profiler.WorkerError
+	if !errors.As(deg.Err(), &we) || we.Worker != 0 {
+		t.Fatalf("Degraded.Err() = %v, want *profiler.WorkerError from worker 0", deg.Err())
+	}
+	if routed == 0 || ExitCode(deg.Err()) != 2 {
+		t.Errorf("routed %d records, exit %d; want a partial profile and exit 2", routed, ExitCode(deg.Err()))
 	}
 }

@@ -219,12 +219,11 @@ func (ev *Events) Optimize(cfg OptimizeConfig) (*OptimizeResult, error) {
 			rules = prefetch.BuildPlan(lp.Profile(ev.Name), lineBytes, cfg.Lookahead).Rules()
 		}
 	} else {
-		lp := leap.NewParallel(ev.Sites, 0, cfg.Workers)
-		_, err := ev.Pass(lp)
-		if err := deg.Check(err); err != nil {
+		lprof, err := Analyze(ev, &deg, leap.NewParallel(ev.Sites, 0, cfg.Workers))
+		if err != nil {
 			return nil, err
 		}
-		rules = prefetch.BuildPlan(lp.Profile(ev.Name), lineBytes, cfg.Lookahead).Rules()
+		rules = prefetch.BuildPlan(lprof, lineBytes, cfg.Lookahead).Rules()
 	}
 
 	// Assemble and serialize the plan.

@@ -74,26 +74,6 @@ type Ideal struct {
 	writers map[trace.Addr]map[trace.InstrID]struct{}
 }
 
-// IdealFromSource drains a streaming event source through a fresh ideal
-// profiler and returns it.
-func IdealFromSource(src trace.Source) (*Ideal, error) {
-	p := NewIdeal()
-	if _, err := trace.Drain(src, p); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// ConnorsFromSource drains a streaming event source through a fresh
-// windowed profiler with the given history length (≤ 0 = DefaultWindow).
-func ConnorsFromSource(src trace.Source, window int) (*Connors, error) {
-	p := NewConnors(window)
-	if _, err := trace.Drain(src, p); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // NewIdeal returns an empty ideal profiler.
 func NewIdeal() *Ideal {
 	return &Ideal{

@@ -8,8 +8,9 @@
 //   - FlipField, PanicAfter, ErrorAfter, and Stall damage the decoded
 //     event stream, exercising salvage drains, panic containment, and
 //     deadline enforcement;
-//   - PanicSCC crashes a downstream compression stage, exercising the
-//     fan-out stages' worker containment.
+//   - PanicSCC crashes a downstream compression stage, and CrashingLEAP
+//     wires it into a parallel LEAP pipeline, exercising the fan-out
+//     stages' worker containment.
 //
 // Everything here is deterministic: the same wrapper parameters produce
 // the same fault at the same position, so a soak failure replays exactly.
@@ -20,6 +21,8 @@ import (
 	"io"
 	"time"
 
+	"ormprof/internal/leap"
+	"ormprof/internal/omc"
 	"ormprof/internal/profiler"
 	"ormprof/internal/trace"
 )
@@ -137,3 +140,41 @@ func (p *panicSCC) Consume(r profiler.Record) {
 }
 
 func (p *panicSCC) Finish() { p.next.Finish() }
+
+// CrashingLEAP is a parallel LEAP pipeline — OMC, CDC, and a
+// profiler.Sharded stage of leap SCCs, the assembly leap.NewParallel
+// builds — whose worker 0 panics on its Nth record. Records are dealt
+// round-robin, so worker 0 sees every workers-th record and any N below
+// records/workers fires. It is a cliutil.Analysis whose profile is the
+// number of records the stage routed.
+type CrashingLEAP struct {
+	cdc *profiler.CDC
+	sh  *profiler.Sharded
+}
+
+// NewCrashingLEAP starts the pipeline's workers.
+func NewCrashingLEAP(sites map[trace.SiteID]string, workers int, n uint64) *CrashingLEAP {
+	var rr int
+	sh := profiler.NewSharded(workers, 64, func(_ profiler.Record, w int) int {
+		rr++
+		return rr % w
+	}, func(i int) profiler.SCC {
+		if i == 0 {
+			return PanicSCC(leap.NewSCC(0), n)
+		}
+		return leap.NewSCC(0)
+	})
+	return &CrashingLEAP{cdc: profiler.NewCDC(omc.New(sites), sh), sh: sh}
+}
+
+// Emit implements trace.Sink.
+func (c *CrashingLEAP) Emit(e trace.Event) { c.cdc.Emit(e) }
+
+// Profile joins the workers and reports how many records were routed.
+func (c *CrashingLEAP) Profile(string) uint64 {
+	c.cdc.Finish()
+	return c.sh.Records()
+}
+
+// Err reports the stage's first fault: the injected *profiler.WorkerError.
+func (c *CrashingLEAP) Err() error { return c.sh.Err() }

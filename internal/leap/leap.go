@@ -235,16 +235,14 @@ func NewParallel(siteNames map[trace.SiteID]string, maxLMADs, workers int) *Prof
 // Emit implements trace.Sink.
 func (p *Profiler) Emit(e trace.Event) { p.cdc.Emit(e) }
 
-// FromSource drains a streaming event source (a replayed trace file, say)
-// through a parallel LEAP profiler and returns the finished profile. The
-// profiler holds descriptors, never the event stream, so memory is bounded
-// by the LMAD budget, not the trace.
-func FromSource(workload string, src trace.Source, siteNames map[trace.SiteID]string, maxLMADs, workers int) (*Profile, error) {
-	p := NewParallel(siteNames, maxLMADs, workers)
-	if _, err := trace.Drain(src, p); err != nil {
-		return nil, err
+// Err reports the profiler's first pipeline fault: a *profiler.WorkerError
+// if a compression worker panicked. Sequential profilers always report nil.
+// Call after Profile for the final verdict.
+func (p *Profiler) Err() error {
+	if e, ok := p.scc.(interface{ Err() error }); ok {
+		return e.Err()
 	}
-	return p.Profile(workload), nil
+	return nil
 }
 
 // OMC exposes the profiler's object-management component.

@@ -1,8 +1,6 @@
 package leap
 
 import (
-	"context"
-
 	"ormprof/internal/decomp"
 	"ormprof/internal/profiler"
 	"ormprof/internal/trace"
@@ -29,17 +27,11 @@ type ParallelSCC struct {
 // LMAD budget (≤ 0 selects lmad.DefaultMax) fanned out across workers
 // shards.
 func NewParallelSCC(maxLMADs, workers int) *ParallelSCC {
-	return NewParallelSCCContext(context.Background(), maxLMADs, workers)
-}
-
-// NewParallelSCCContext is NewParallelSCC with cooperative cancellation
-// wired into the sharded stage (see profiler.NewShardedContext).
-func NewParallelSCCContext(ctx context.Context, maxLMADs, workers int) *ParallelSCC {
 	if workers < 1 {
 		workers = 1
 	}
 	p := &ParallelSCC{shards: make([]*SCC, workers)}
-	p.sh = profiler.NewShardedContext(ctx, workers, profiler.DefaultShardBatch,
+	p.sh = profiler.NewSharded(workers, profiler.DefaultShardBatch,
 		func(r profiler.Record, n int) int { return decomp.Shard(r, n) },
 		func(i int) profiler.SCC {
 			s := NewSCC(maxLMADs)

@@ -2,7 +2,6 @@ package phase
 
 import (
 	"ormprof/internal/leap"
-	"ormprof/internal/omc"
 	"ormprof/internal/profiler"
 	"ormprof/internal/trace"
 )
@@ -63,20 +62,6 @@ func (c *CognizantLEAP) flush(phase int) {
 		scc.Consume(r)
 	}
 	c.buf = c.buf[:0]
-}
-
-// CognizantFromSource drains a streaming event source through a full
-// phase-cognizant LEAP pipeline (CDC + per-phase compression) and returns
-// the finished collector. Memory is bounded by one detection interval plus
-// the per-phase descriptors, never the trace.
-func CognizantFromSource(src trace.Source, siteNames map[trace.SiteID]string, cfg Config, maxLMADs int) (*CognizantLEAP, error) {
-	cog := NewCognizantLEAP(cfg, maxLMADs)
-	cdc := profiler.NewCDC(omc.New(siteNames), cog)
-	if _, err := trace.Drain(src, cdc); err != nil {
-		return nil, err
-	}
-	cdc.Finish()
-	return cog, nil
 }
 
 // Detector exposes the underlying phase detector.

@@ -1,12 +1,9 @@
 package profiler_test
 
 import (
-	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"ormprof/internal/profiler"
 	"ormprof/internal/testutil"
@@ -136,100 +133,5 @@ func TestShardedCleanRunNoError(t *testing.T) {
 	}
 	if a.seen+b.seen != 1000 || !a.finished || !b.finished {
 		t.Errorf("shards: %d+%d finished %v/%v", a.seen, b.seen, a.finished, b.finished)
-	}
-}
-
-// stallSCC blocks in Consume until released, simulating a wedged worker
-// whose queue backs up to the producer. It closes started on the first
-// Consume so tests can synchronize on "the worker is now wedged" instead
-// of sleeping and hoping.
-type stallSCC struct {
-	started chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
-
-func newStallSCC() *stallSCC {
-	return &stallSCC{started: make(chan struct{}), release: make(chan struct{})}
-}
-
-func (s *stallSCC) Consume(profiler.Record) {
-	s.once.Do(func() { close(s.started) })
-	<-s.release
-}
-func (s *stallSCC) Finish() {}
-
-func TestShardedContextCancelUnblocksProducer(t *testing.T) {
-	testutil.LeakCheck(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stall := newStallSCC()
-
-	s := profiler.NewShardedContext(ctx, 1, 4, func(profiler.Record, int) int { return 0 },
-		func(int) profiler.SCC { return stall })
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		feed(s, 1_000_000)
-	}()
-	// The worker wedges on its first record, the queue backs up, and the
-	// producer blocks in send — until cancellation fires. Only then is
-	// the stall released, so Finish can join the worker (cancellation is
-	// cooperative: it unblocks the producer, not a wedged SCC).
-	<-stall.started
-	cancel()
-	close(stall.release)
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("producer still blocked after cancellation")
-	}
-	if err := s.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Err = %v, want context.Canceled", err)
-	}
-}
-
-func TestBroadcastContextDeadline(t *testing.T) {
-	testutil.LeakCheck(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	stall := newStallSCC()
-
-	b := profiler.NewBroadcastContext(ctx, 4, stall)
-	// Release the stall only once the deadline has actually fired, so the
-	// deadline — not the release — is what unblocks the producer.
-	go func() {
-		<-ctx.Done()
-		close(stall.release)
-	}()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		feed(b, 1_000_000)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("producer still blocked after deadline")
-	}
-	if err := b.Err(); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Err = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-func TestShardedContextAlreadyCancelled(t *testing.T) {
-	testutil.LeakCheck(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var c countSCC
-	s := profiler.NewShardedContext(ctx, 1, 4, func(profiler.Record, int) int { return 0 },
-		func(int) profiler.SCC { return &c })
-	feed(s, 100)
-	if err := s.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Err = %v, want context.Canceled", err)
-	}
-	if !c.finished {
-		t.Error("worker SCC not finished on cancelled run")
 	}
 }

@@ -128,24 +128,16 @@ func (c *Collector) Consume(r Record) { c.Records = append(c.Records, r) }
 // Finish implements SCC.
 func (c *Collector) Finish() {}
 
-// TranslateSource streams an event source through a fresh OMC and returns
-// the object-relative stream and the OMC (whose object table holds the
-// auxiliary lifetime information). siteNames may be nil. The translation
-// itself is streaming — only the returned record slice grows with the
-// trace; callers that stream all the way down should wire a CDC to their
-// own SCC instead.
-func TranslateSource(src trace.Source, siteNames map[trace.SiteID]string) ([]Record, *omc.OMC, error) {
+// TranslateTrace replays a recorded event trace through a fresh OMC and
+// returns the object-relative stream and the OMC (whose object table holds
+// the auxiliary lifetime information). siteNames may be nil.
+func TranslateTrace(events []trace.Event, siteNames map[trace.SiteID]string) ([]Record, *omc.OMC) {
 	o := omc.New(siteNames)
 	col := &Collector{}
 	cdc := NewCDC(o, col)
-	_, err := trace.Drain(src, cdc)
+	for _, e := range events {
+		cdc.Emit(e)
+	}
 	cdc.Finish()
-	return col.Records, o, err
-}
-
-// TranslateTrace replays a recorded event trace through a fresh OMC — the
-// slice adapter over TranslateSource.
-func TranslateTrace(events []trace.Event, siteNames map[trace.SiteID]string) ([]Record, *omc.OMC) {
-	recs, o, _ := TranslateSource(trace.NewSliceSource(events), siteNames)
-	return recs, o
+	return col.Records, o
 }

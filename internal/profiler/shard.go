@@ -1,7 +1,6 @@
 package profiler
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -35,18 +34,15 @@ import (
 // sends the same pointer to each; every lane — including a crashed lane's
 // drain loop — releases its reference when done, and the last release
 // returns the batch to the pool. The steady-state fan-out therefore
-// allocates nothing: batches cycle between the producer and the pool. The
-// one exception is a cancelled broadcast, where lanes that never received
-// the in-flight batch can't release it; that batch falls to the GC, which
-// is fine — cancellation ends the stage.
+// allocates nothing: batches cycle between the producer and the pool.
 //
 // Fault containment: a panic inside a worker's SCC is recovered, recorded
 // as a *WorkerError, and the dead lane keeps draining its queue — the
 // single producer can never block on a crashed worker, Finish still joins
 // every goroutine (no leaks), and the surviving shards' state remains
-// readable. The NewShardedContext/NewBroadcastContext variants additionally
-// honor context cancellation: once the context is done, queue sends stop
-// blocking, further records are dropped, and Err reports ctx.Err().
+// readable. Deadlines are enforced upstream, by the producer's drain
+// (trace.DrainContext): a stage only ever sees the records the drain
+// delivered, and Finish joins every lane.
 
 // ShardFunc assigns a record to a worker shard. It must be deterministic —
 // the same record always maps to the same shard — and must send every
@@ -190,10 +186,6 @@ type Sharded struct {
 	pool    sync.Pool
 	done    sync.WaitGroup
 	records uint64
-
-	ctxDone <-chan struct{} // nil without a context
-	ctxErr  func() error
-	stopped bool // context fired: drop instead of queue
 	fail    stageErr
 }
 
@@ -201,14 +193,6 @@ type Sharded struct {
 // for its shard index. shard routes records; batchSize ≤ 0 selects
 // DefaultShardBatch.
 func NewSharded(n, batchSize int, shard ShardFunc, newSCC func(shard int) SCC) *Sharded {
-	return NewShardedContext(context.Background(), n, batchSize, shard, newSCC)
-}
-
-// NewShardedContext is NewSharded with cooperative cancellation: once ctx
-// is done the producer stops queueing (dropping further records instead of
-// blocking on a stalled worker), Finish still joins every worker, and Err
-// reports ctx.Err() if nothing worse happened first.
-func NewShardedContext(ctx context.Context, n, batchSize int, shard ShardFunc, newSCC func(shard int) SCC) *Sharded {
 	if n < 1 {
 		n = 1
 	}
@@ -220,10 +204,6 @@ func NewShardedContext(ctx context.Context, n, batchSize int, shard ShardFunc, n
 		shard:   shard,
 		batchSz: batchSize,
 	}
-	// A background context's Done is nil, which routes send to the
-	// plain blocking path — the context machinery costs nothing there.
-	s.ctxDone = ctx.Done()
-	s.ctxErr = ctx.Err
 	s.pool = newBatchPool(batchSize)
 	s.done.Add(n)
 	for i := range s.workers {
@@ -240,9 +220,6 @@ func NewShardedContext(ctx context.Context, n, batchSize int, shard ShardFunc, n
 // batch is flushed to the worker when full.
 func (s *Sharded) Consume(r Record) {
 	s.records++
-	if s.stopped {
-		return
-	}
 	w := &s.workers[s.shard(r, len(s.workers))]
 	w.batch.recs = append(w.batch.recs, r)
 	if len(w.batch.recs) == s.batchSz {
@@ -250,45 +227,31 @@ func (s *Sharded) Consume(r Record) {
 	}
 }
 
-// send queues the worker's full batch, giving up (and dropping it) if the
-// context fires while the queue is full.
+// send queues the worker's full batch and starts a fresh one.
 func (s *Sharded) send(w *shardWorker) {
 	w.batch.refs.Store(1)
-	if s.ctxDone == nil {
-		w.ch <- w.batch
-	} else {
-		select {
-		case w.ch <- w.batch:
-		case <-s.ctxDone:
-			s.fail.set(s.ctxErr())
-			s.stopped = true
-		}
-	}
+	w.ch <- w.batch
 	w.batch = getBatch(&s.pool)
 }
 
 // Finish implements SCC: it flushes every partial batch, closes the queues,
 // and joins the workers. When it returns, every worker SCC has consumed its
-// full substream and had its own Finish called (crashed or cancelled lanes
-// excepted), and is safe to read. Check Err for faults.
+// full substream and had its own Finish called (crashed lanes excepted),
+// and is safe to read. Check Err for faults.
 func (s *Sharded) Finish() {
 	for i := range s.workers {
 		w := &s.workers[i]
-		if !s.stopped && len(w.batch.recs) > 0 {
+		if len(w.batch.recs) > 0 {
 			s.send(w)
 		}
 		w.batch = nil
 		close(w.ch)
 	}
 	s.done.Wait()
-	if err := s.ctxErr(); err != nil {
-		s.fail.set(err)
-	}
 }
 
-// Err reports the stage's first fault — a *WorkerError if an SCC panicked,
-// or the context's error if cancellation cut the stream short. It is nil
-// after a clean run. Call after Finish for the final verdict.
+// Err reports the stage's first fault — a *WorkerError if an SCC panicked.
+// It is nil after a clean run. Call after Finish for the final verdict.
 func (s *Sharded) Err() error { return s.fail.get() }
 
 // Records reports how many records the stage has routed.
@@ -314,22 +277,12 @@ type Broadcast struct {
 	pool    sync.Pool
 	done    sync.WaitGroup
 	records uint64
-
-	ctxDone <-chan struct{}
-	ctxErr  func() error
-	stopped bool
 	fail    stageErr
 }
 
 // NewBroadcast starts one worker per downstream SCC. batchSize ≤ 0 selects
 // DefaultShardBatch.
 func NewBroadcast(batchSize int, sccs ...SCC) *Broadcast {
-	return NewBroadcastContext(context.Background(), batchSize, sccs...)
-}
-
-// NewBroadcastContext is NewBroadcast with cooperative cancellation,
-// mirroring NewShardedContext.
-func NewBroadcastContext(ctx context.Context, batchSize int, sccs ...SCC) *Broadcast {
 	if batchSize <= 0 {
 		batchSize = DefaultShardBatch
 	}
@@ -339,8 +292,6 @@ func NewBroadcastContext(ctx context.Context, batchSize int, sccs ...SCC) *Broad
 	}
 	b.pool = newBatchPool(batchSize)
 	b.batch = getBatch(&b.pool)
-	b.ctxDone = ctx.Done()
-	b.ctxErr = ctx.Err
 	b.done.Add(len(sccs))
 	for i := range b.workers {
 		w := &b.workers[i]
@@ -354,9 +305,6 @@ func NewBroadcastContext(ctx context.Context, batchSize int, sccs ...SCC) *Broad
 // Consume implements SCC.
 func (b *Broadcast) Consume(r Record) {
 	b.records++
-	if b.stopped {
-		return
-	}
 	b.batch.recs = append(b.batch.recs, r)
 	if len(b.batch.recs) == b.batchSz {
 		b.flush()
@@ -371,43 +319,24 @@ func (b *Broadcast) flush() {
 	// release its reference while later sends are still in flight.
 	b.batch.refs.Store(int32(len(b.workers)))
 	for i := range b.workers {
-		if b.ctxDone == nil {
-			b.workers[i].ch <- b.batch
-		} else {
-			select {
-			case b.workers[i].ch <- b.batch:
-			case <-b.ctxDone:
-				b.fail.set(b.ctxErr())
-				b.stopped = true
-				// Lanes that never got the batch can't release it; the
-				// partially-sent batch is abandoned to the GC.
-				b.batch = nil
-				return
-			}
-		}
+		b.workers[i].ch <- b.batch
 	}
 	b.batch = getBatch(&b.pool)
 }
 
 // Finish implements SCC: flush, close, join. When it returns every worker
-// SCC has seen the full stream, been finished (crashed or cancelled lanes
-// excepted), and is safe to read. Check Err for faults.
+// SCC has seen the full stream, been finished (crashed lanes excepted),
+// and is safe to read. Check Err for faults.
 func (b *Broadcast) Finish() {
-	if !b.stopped {
-		b.flush()
-	}
+	b.flush()
 	for i := range b.workers {
 		close(b.workers[i].ch)
 	}
 	b.done.Wait()
-	if err := b.ctxErr(); err != nil {
-		b.fail.set(err)
-	}
 }
 
-// Err reports the stage's first fault — a *WorkerError if an SCC panicked,
-// or the context's error if cancellation cut the stream short. It is nil
-// after a clean run. Call after Finish for the final verdict.
+// Err reports the stage's first fault — a *WorkerError if an SCC panicked.
+// It is nil after a clean run. Call after Finish for the final verdict.
 func (b *Broadcast) Err() error { return b.fail.get() }
 
 // Records reports how many records the stage has broadcast.

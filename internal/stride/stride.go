@@ -51,17 +51,6 @@ const (
 // estimate is maintained incrementally in Emit.
 func (p *Ideal) Footprint() int64 { return idealBase + p.foot }
 
-// IdealFromSource drains a streaming event source through a fresh lossless
-// stride profiler. Per-instruction state is O(instructions), so streaming a
-// trace file through it never materializes the event stream.
-func IdealFromSource(src trace.Source) (*Ideal, error) {
-	p := NewIdeal()
-	if _, err := trace.Drain(src, p); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // NewIdeal returns an empty lossless stride profiler.
 func NewIdeal() *Ideal {
 	return &Ideal{

@@ -34,8 +34,9 @@ import (
 //     candidate frame. Events keep flowing; only the damaged frame's
 //     records are lost. Skips are accounted in Stats, and once the input
 //     is exhausted Next returns a *CorruptionError (instead of io.EOF)
-//     summarizing the damage — the salvage signal consumed by
-//     trace.DrainSalvage and the tools' -lenient mode.
+//     summarizing the damage — the salvage signal that
+//     trace.DrainContext hands back from every cliutil.Events pass of a
+//     tool run with -lenient.
 //
 // Header damage is fatal in both modes: without the version byte and the
 // site table there is no way to interpret, or correctly label, whatever

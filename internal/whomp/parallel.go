@@ -1,8 +1,6 @@
 package whomp
 
 import (
-	"context"
-
 	"ormprof/internal/decomp"
 	"ormprof/internal/profiler"
 	"ormprof/internal/sequitur"
@@ -31,12 +29,6 @@ type ParallelSCC struct {
 
 // NewParallelSCC starts one grammar worker per decomposed dimension.
 func NewParallelSCC() *ParallelSCC {
-	return NewParallelSCCContext(context.Background())
-}
-
-// NewParallelSCCContext is NewParallelSCC with cooperative cancellation
-// wired into the broadcast stage (see profiler.NewBroadcastContext).
-func NewParallelSCCContext(ctx context.Context) *ParallelSCC {
 	grammars := make(map[decomp.Dimension]*sequitur.Grammar, len(decomp.Dims))
 	sccs := make([]profiler.SCC, 0, len(decomp.Dims))
 	for _, d := range decomp.Dims {
@@ -48,7 +40,7 @@ func NewParallelSCCContext(ctx context.Context) *ParallelSCC {
 		}))
 	}
 	return &ParallelSCC{
-		bc:       profiler.NewBroadcastContext(ctx, profiler.DefaultShardBatch, sccs...),
+		bc:       profiler.NewBroadcast(profiler.DefaultShardBatch, sccs...),
 		grammars: grammars,
 	}
 }

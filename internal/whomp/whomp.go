@@ -116,16 +116,14 @@ func NewParallel(siteNames map[trace.SiteID]string, workers int) *Profiler {
 // Emit implements trace.Sink.
 func (p *Profiler) Emit(e trace.Event) { p.cdc.Emit(e) }
 
-// FromSource drains a streaming event source (a replayed trace file, say)
-// through a parallel WHOMP profiler and returns the finished profile. The
-// profiler holds its grammars and object table, never the event stream, so
-// memory is bounded by the profile, not the trace.
-func FromSource(workload string, src trace.Source, siteNames map[trace.SiteID]string, workers int) (*Profile, error) {
-	p := NewParallel(siteNames, workers)
-	if _, err := trace.Drain(src, p); err != nil {
-		return nil, err
+// Err reports the profiler's first pipeline fault: a *profiler.WorkerError
+// if a grammar worker panicked. Sequential profilers always report nil.
+// Call after Profile for the final verdict.
+func (p *Profiler) Err() error {
+	if e, ok := p.scc.(interface{ Err() error }); ok {
+		return e.Err()
 	}
-	return p.Profile(workload), nil
+	return nil
 }
 
 // OMC exposes the profiler's object-management component.

@@ -52,15 +52,16 @@ func netSoakFrames(t testing.TB, name string, batch int) (serve.SliceFrames, map
 }
 
 // offlineReference builds the three profile artifacts the offline tools
-// would produce for the same events at the given worker count, through
-// the same serializations the daemon uses.
+// would produce for the same events at the given worker count — their
+// NewParallel profilers, one drain each, Profile, Err — through the same
+// serializations the daemon uses.
 func offlineReference(t testing.TB, name string, buf *trace.Buffer, sites map[trace.SiteID]string, workers int) map[string][]byte {
 	t.Helper()
-	wp, err := whomp.FromSource(name, buf.Source(), sites, workers)
+	wp, err := drainAnalysis(context.Background(), name, buf.Source(), whomp.NewParallel(sites, workers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp, err := leap.FromSource(name, buf.Source(), sites, 0, workers)
+	lp, err := drainAnalysis(context.Background(), name, buf.Source(), leap.NewParallel(sites, 0, workers))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,11 @@ import (
 	"reflect"
 	"testing"
 
+	"ormprof/internal/cliutil"
 	"ormprof/internal/depend"
 	"ormprof/internal/leap"
 	"ormprof/internal/memsim"
+	"ormprof/internal/omc"
 	"ormprof/internal/phase"
 	"ormprof/internal/profiler"
 	"ormprof/internal/stride"
@@ -42,10 +44,31 @@ func recordWorkload(t testing.TB, name string) (*trace.Buffer, map[trace.SiteID]
 	return buf, m.StaticSites(), enc.Bytes()
 }
 
+// analyze runs one analysis over ev through the tools' entry point and
+// fails the test on any fault, salvaged or not.
+func analyze[P any](t testing.TB, ev *cliutil.Events, a cliutil.Analysis[P]) P {
+	t.Helper()
+	var deg cliutil.Degraded
+	prof, err := cliutil.Analyze(ev, &deg, a)
+	if err == nil {
+		err = deg.Err()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prof
+}
+
 func TestReplayProfilesByteIdentical(t *testing.T) {
 	for _, name := range []string{"linkedlist", "181.mcf"} {
 		t.Run(name, func(t *testing.T) {
 			buf, sites, encoded := recordWorkload(t, name)
+			// Replay path: the recorded trace as a tool's -replay flag
+			// opens it, labelled only by the trace's own metadata.
+			ev, err := replayEvents(t, encoded, false)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			for _, workers := range determinismWorkers {
 				// Live path: profile the buffered probe stream.
@@ -56,18 +79,8 @@ func TestReplayProfilesByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// Replay path: pull the same events back out of the encoded
-				// trace, using only the trace's own metadata.
-				r, err := tracefmt.NewReader(bytes.NewReader(encoded))
-				if err != nil {
-					t.Fatal(err)
-				}
-				wpReplay, err := whomp.FromSource(r.Name(), r, r.Sites(), workers)
-				if err != nil {
-					t.Fatal(err)
-				}
 				var replayW bytes.Buffer
-				if _, err := wpReplay.WriteTo(&replayW); err != nil {
+				if _, err := analyze(t, ev, whomp.NewParallel(ev.Sites, workers)).WriteTo(&replayW); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(liveW.Bytes(), replayW.Bytes()) {
@@ -81,16 +94,8 @@ func TestReplayProfilesByteIdentical(t *testing.T) {
 				if _, err := lpLive.Profile(name).WriteTo(&liveL); err != nil {
 					t.Fatal(err)
 				}
-				r2, err := tracefmt.NewReader(bytes.NewReader(encoded))
-				if err != nil {
-					t.Fatal(err)
-				}
-				lpReplay, err := leap.FromSource(r2.Name(), r2, r2.Sites(), 0, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
 				var replayL bytes.Buffer
-				if _, err := lpReplay.WriteTo(&replayL); err != nil {
+				if _, err := analyze(t, ev, leap.NewParallel(ev.Sites, 0, workers)).WriteTo(&replayL); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(liveL.Bytes(), replayL.Bytes()) {
@@ -103,23 +108,22 @@ func TestReplayProfilesByteIdentical(t *testing.T) {
 }
 
 func TestStreamingConsumersMatchSlicePath(t *testing.T) {
-	// Every analysis entry point has a streaming (Source) form; driven from
-	// a replayed trace it must agree exactly with the slice path over the
-	// live buffer.
+	// Every analysis is a trace.Sink; streamed from a replayed trace
+	// through Events.Pass it must agree exactly with the live buffer.
 	buf, sites, encoded := recordWorkload(t, "181.mcf")
-	reader := func() *tracefmt.Reader {
-		r, err := tracefmt.NewReader(bytes.NewReader(encoded))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-
-	recsLive, _, err := profiler.TranslateSource(buf.Source(), sites)
+	ev, err := replayEvents(t, encoded, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recsReplay, _, err := profiler.TranslateSource(reader(), sites)
+	pass := func(sink trace.Sink) {
+		t.Helper()
+		if _, err := ev.Pass(sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	recsLive, _ := profiler.TranslateTrace(buf.Events, sites)
+	recsReplay, _, err := ev.Translate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,50 +136,35 @@ func TestStreamingConsumersMatchSlicePath(t *testing.T) {
 		}
 	}
 
-	strLive, err := stride.IdealFromSource(buf.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	strReplay, err := stride.IdealFromSource(reader())
-	if err != nil {
-		t.Fatal(err)
-	}
+	strLive, strReplay := stride.NewIdeal(), stride.NewIdeal()
+	buf.Replay(strLive)
+	pass(strReplay)
 	if !reflect.DeepEqual(strLive.StronglyStrided(), strReplay.StronglyStrided()) {
 		t.Error("stride ideal differs between live and replayed streams")
 	}
 
-	depLive, err := depend.IdealFromSource(buf.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	depReplay, err := depend.IdealFromSource(reader())
-	if err != nil {
-		t.Fatal(err)
-	}
+	depLive, depReplay := depend.NewIdeal(), depend.NewIdeal()
+	buf.Replay(depLive)
+	pass(depReplay)
 	if !reflect.DeepEqual(depLive.Result(), depReplay.Result()) {
 		t.Error("dependence ideal differs between live and replayed streams")
 	}
 
-	conLive, err := depend.ConnorsFromSource(buf.Source(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conReplay, err := depend.ConnorsFromSource(reader(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conLive, conReplay := depend.NewConnors(0), depend.NewConnors(0)
+	buf.Replay(conLive)
+	pass(conReplay)
 	if !reflect.DeepEqual(conLive.Result(), conReplay.Result()) {
 		t.Error("Connors result differs between live and replayed streams")
 	}
 
-	cogLive, err := phase.CognizantFromSource(buf.Source(), sites, phase.Config{}, 0)
-	if err != nil {
-		t.Fatal(err)
+	cognizant := func(feed func(trace.Sink)) *phase.CognizantLEAP {
+		cog := phase.NewCognizantLEAP(phase.Config{}, 0)
+		cdc := profiler.NewCDC(omc.New(sites), cog)
+		feed(cdc)
+		cdc.Finish()
+		return cog
 	}
-	cogReplay, err := phase.CognizantFromSource(reader(), sites, phase.Config{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cogLive, cogReplay := cognizant(buf.Replay), cognizant(pass)
 	accLive, _ := phase.Quality(cogLive.Profiles("x"))
 	accReplay, _ := phase.Quality(cogReplay.Profiles("x"))
 	if accLive != accReplay || cogLive.Detector().NumPhases() != cogReplay.Detector().NumPhases() {

@@ -1,14 +1,18 @@
 package ormprof
 
 // Fault-injection soak: every workload's recorded trace is replayed through
-// the fault-tolerant pipeline under a randomized (but seeded, hence
+// the pipeline the tools run, under a randomized (but seeded, hence
 // reproducible) schedule of injected faults — corrupt bytes, truncation,
 // field flips, producer panics, worker panics, stalls against deadlines.
-// The contract under test is the robustness tentpole: the pipeline never
-// hangs, never lets a panic escape, never leaks goroutines, and always
-// yields either a (possibly partial) profile or a typed error. With a
-// single corrupted frame, exactly that frame's events are lost — asserted
-// via Reader.Stats().
+// Damaged bytes go where a tool's -replay -lenient flags send them:
+// cliutil.TraceFlags.Load, then cliutil.Analyze (one Events.Pass into a
+// NewParallel profiler, Profile, Err). Damaged event sources go through
+// trace.DrainContext, the drain under every Events.Pass. The contract under
+// test is the robustness tentpole: the pipeline never hangs, never lets a
+// panic escape, never leaks goroutines, and always yields either a
+// (possibly partial) profile or a typed error. With a single corrupted
+// frame, exactly that frame's events are lost — asserted via the reader
+// stats the pass reports.
 
 import (
 	"bytes"
@@ -16,9 +20,12 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"ormprof/internal/cliutil"
 	"ormprof/internal/faultinject"
 	"ormprof/internal/leap"
 	"ormprof/internal/profiler"
@@ -30,60 +37,71 @@ import (
 	"ormprof/internal/workloads"
 )
 
-// isTypedFault reports whether err is one of the pipeline's sanctioned
-// degraded-mode errors — the "typed error" arm of the soak contract.
-func isTypedFault(err error) bool {
-	var ce *tracefmt.CorruptionError
-	var pe *trace.PanicError
-	var we *profiler.WorkerError
-	return errors.As(err, &ce) || errors.As(err, &pe) || errors.As(err, &we) ||
-		errors.Is(err, tracefmt.ErrBadTrace) ||
-		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
-}
-
-// lenientSource opens encoded bytes as a lenient trace reader. A header
-// too damaged to open is a legitimate outcome for header-offset faults;
-// those cases return (nil, err).
-func lenientSource(data []byte) (*tracefmt.Reader, error) {
-	return tracefmt.NewReader(bytes.NewReader(data), tracefmt.WithLenient())
-}
-
-// runSalvage replays a (possibly damaged) encoded trace through the whomp
-// and leap salvage paths and enforces the soak contract on the outcome.
-func runSalvage(t *testing.T, data []byte, sites map[trace.SiteID]string, totalEvents int64) {
+// replayEvents writes encoded trace bytes to a file and opens it the way a
+// tool's -replay flag does, with -lenient as given. A header too damaged
+// to open is a legitimate outcome for header-offset faults; those cases
+// return (nil, err).
+func replayEvents(t testing.TB, data []byte, lenient bool) (*cliutil.Events, error) {
 	t.Helper()
-	for _, prof := range []string{"whomp", "leap"} {
-		r, err := lenientSource(data)
+	path := filepath.Join(t.TempDir(), "soak.ormtrace")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tf := &cliutil.TraceFlags{Replay: path, Lenient: lenient, Deadline: 2 * time.Minute}
+	return tf.Load("", workloads.Config{})
+}
+
+// drainAnalysis is cliutil.Analyze for an event source instead of a trace
+// file: the one drain, then Profile, then Err, with the first fault
+// returned.
+func drainAnalysis[P any](ctx context.Context, workload string, src trace.Source, a cliutil.Analysis[P]) (P, error) {
+	_, err := trace.DrainContext(ctx, src, a)
+	prof := a.Profile(workload)
+	if err == nil {
+		err = a.Err()
+	}
+	return prof, err
+}
+
+// runSalvage replays a (possibly damaged) encoded trace through whomp and
+// leap as the tools run them with -lenient, and enforces the soak contract
+// on the outcome.
+func runSalvage(t *testing.T, data []byte, totalEvents int64) {
+	t.Helper()
+	for _, analysis := range []string{"whomp", "leap"} {
+		ev, err := replayEvents(t, data, true)
 		if err != nil {
 			if !errors.Is(err, tracefmt.ErrBadTrace) {
 				t.Fatalf("header error not typed: %v", err)
 			}
 			return // unreadable header is a clean typed failure
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		switch prof {
+		var deg cliutil.Degraded
+		var records uint64
+		switch analysis {
 		case "whomp":
-			p, err := whomp.FromSourceSalvage(ctx, "soak", r, sites, 4)
-			if err != nil && !isTypedFault(err) {
-				t.Fatalf("whomp salvage error not typed: %v", err)
-			}
-			if p == nil && err == nil {
-				t.Fatal("whomp salvage returned neither profile nor error")
-			}
-			if p != nil && int64(p.Records) > totalEvents {
-				t.Fatalf("whomp salvaged %d records from %d events", p.Records, totalEvents)
+			var p *whomp.Profile
+			p, err = cliutil.Analyze(ev, &deg, whomp.NewParallel(ev.Sites, 4))
+			if p != nil {
+				records = p.Records
 			}
 		case "leap":
-			p, err := leap.FromSourceSalvage(ctx, "soak", r, sites, 0, 4)
-			if err != nil && !isTypedFault(err) {
-				t.Fatalf("leap salvage error not typed: %v", err)
-			}
-			if p == nil && err == nil {
-				t.Fatal("leap salvage returned neither profile nor error")
+			var p *leap.Profile
+			p, err = cliutil.Analyze(ev, &deg, leap.NewParallel(ev.Sites, 0, 4))
+			if p != nil {
+				records = p.Records
 			}
 		}
-		cancel()
-		st := r.Stats()
+		if err != nil && !errors.Is(err, tracefmt.ErrBadTrace) {
+			t.Fatalf("%s: hard error not typed: %v", analysis, err)
+		}
+		if err == nil && records == 0 && deg.Err() == nil {
+			t.Fatalf("%s: neither profile nor error", analysis)
+		}
+		if int64(records) > totalEvents {
+			t.Fatalf("%s salvaged %d records from %d events", analysis, records, totalEvents)
+		}
+		st := ev.Stats()
 		if st.Events < 0 || st.Events > totalEvents {
 			t.Fatalf("reader stats inconsistent: delivered %d of %d", st.Events, totalEvents)
 		}
@@ -115,14 +133,14 @@ func TestSoakCorruptByte(t *testing.T) {
 		nOffsets = 2
 	}
 	for _, name := range soakWorkloads(t) {
-		buf, sites, encoded := recordWorkload(t, name)
+		buf, _, encoded := recordWorkload(t, name)
 		total := int64(buf.Len())
 		for _, off := range soakOffsets(rng, int64(len(encoded)), nOffsets) {
 			damaged, err := io.ReadAll(faultinject.CorruptByte(bytes.NewReader(encoded), off, byte(rng.Intn(256))))
 			if err != nil {
 				t.Fatal(err)
 			}
-			runSalvage(t, damaged, sites, total)
+			runSalvage(t, damaged, total)
 		}
 	}
 }
@@ -137,14 +155,14 @@ func TestSoakTruncation(t *testing.T) {
 		nOffsets = 2
 	}
 	for _, name := range soakWorkloads(t) {
-		buf, sites, encoded := recordWorkload(t, name)
+		buf, _, encoded := recordWorkload(t, name)
 		total := int64(buf.Len())
 		for _, cut := range soakOffsets(rng, int64(len(encoded)), nOffsets) {
 			damaged, err := io.ReadAll(faultinject.Truncate(bytes.NewReader(encoded), cut))
 			if err != nil {
 				t.Fatal(err)
 			}
-			runSalvage(t, damaged, sites, total)
+			runSalvage(t, damaged, total)
 		}
 	}
 }
@@ -169,10 +187,9 @@ func TestSoakFieldFlip(t *testing.T) {
 		buf, sites, _ := recordWorkload(t, name)
 		for i, mutate := range mutations {
 			n := rng.Int63n(int64(buf.Len()))
-			ctx := context.Background()
 			src := faultinject.FlipField(buf.Source(), n, mutate)
-			p, err := whomp.FromSourceSalvage(ctx, "soak", src, sites, 2)
-			if err != nil && !isTypedFault(err) {
+			p, err := drainAnalysis(context.Background(), "soak", src, whomp.NewParallel(sites, 2))
+			if err != nil && !cliutil.Salvaged(err) {
 				t.Fatalf("mutation %d: error not typed: %v", i, err)
 			}
 			if p == nil && err == nil {
@@ -182,7 +199,7 @@ func TestSoakFieldFlip(t *testing.T) {
 	}
 }
 
-// TestSoakProducerPanic: the source itself panics mid-stream; DrainSalvage
+// TestSoakProducerPanic: the source itself panics mid-stream; DrainContext
 // must contain it and hand back the partial profile with a *PanicError.
 func TestSoakProducerPanic(t *testing.T) {
 	if testing.Short() {
@@ -194,7 +211,7 @@ func TestSoakProducerPanic(t *testing.T) {
 		buf, sites, _ := recordWorkload(t, name)
 		n := 1 + rng.Int63n(int64(buf.Len())-1)
 		src := faultinject.PanicAfter(buf.Source(), n)
-		p, err := leap.FromSourceSalvage(context.Background(), "soak", src, sites, 0, 4)
+		p, err := drainAnalysis(context.Background(), "soak", src, leap.NewParallel(sites, 0, 4))
 		var pe *trace.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("%s: err = %v, want *trace.PanicError", name, err)
@@ -207,7 +224,8 @@ func TestSoakProducerPanic(t *testing.T) {
 
 // TestSoakWorkerPanic: a compression worker crashes on a random record;
 // the sharded stage must contain it, finish the surviving shards, and
-// report a *WorkerError.
+// report a *WorkerError — which Analyze turns into a salvaged run (exit 2)
+// with the partial profile, as in the tools.
 func TestSoakWorkerPanic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
@@ -215,37 +233,34 @@ func TestSoakWorkerPanic(t *testing.T) {
 	testutil.LeakCheck(t)
 	rng := rand.New(rand.NewSource(5))
 	for _, name := range soakWorkloads(t) {
-		buf, sites, _ := recordWorkload(t, name)
-		records, _, err := profiler.TranslateSourceSalvage(context.Background(), buf.Source(), sites)
+		_, _, encoded := recordWorkload(t, name)
+		ev, err := replayEvents(t, encoded, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, _, err := ev.Translate()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(records) < 4 {
 			continue
 		}
-		// Round-robin sharding guarantees worker 0 sees len/4 records, so a
+		// Round-robin dealing guarantees worker 0 sees len/4 records, so a
 		// crash index drawn from that range always fires.
 		crashAt := uint64(rng.Int63n(int64(len(records) / 4)))
-		var rr int
-		sh := profiler.NewSharded(4, 64, func(r profiler.Record, n int) int {
-			rr++
-			return rr % n
-		}, func(i int) profiler.SCC {
-			scc := leap.NewSCC(0)
-			if i == 0 {
-				return faultinject.PanicSCC(scc, crashAt)
-			}
-			return scc
-		})
-		for _, r := range records {
-			sh.Consume(r)
+		var deg cliutil.Degraded
+		routed, err := cliutil.Analyze(ev, &deg, faultinject.NewCrashingLEAP(ev.Sites, 4, crashAt))
+		if err != nil {
+			t.Fatalf("%s: worker panic treated as a hard error: %v", name, err)
 		}
-		sh.Finish()
 		var we *profiler.WorkerError
-		if err := sh.Err(); !errors.As(err, &we) {
-			t.Fatalf("%s: Err = %v, want *WorkerError", name, err)
+		if !errors.As(deg.Err(), &we) {
+			t.Fatalf("%s: Err = %v, want *WorkerError", name, deg.Err())
 		} else if we.Worker != 0 {
 			t.Fatalf("%s: crashed worker = %d, want 0", name, we.Worker)
+		}
+		if routed != uint64(len(records)) || cliutil.ExitCode(deg.Err()) != 2 {
+			t.Fatalf("%s: routed %d of %d records, exit %d", name, routed, len(records), cliutil.ExitCode(deg.Err()))
 		}
 	}
 }
@@ -265,7 +280,7 @@ func TestSoakStallDeadline(t *testing.T) {
 		src := faultinject.Stall(buf.Source(), n, 300*time.Millisecond)
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		start := time.Now()
-		p, err := whomp.FromSourceSalvage(ctx, "soak", src, sites, 2)
+		p, err := drainAnalysis(ctx, "soak", src, whomp.NewParallel(sites, 2))
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s: err = %v, want DeadlineExceeded", name, err)
@@ -315,26 +330,27 @@ func TestSoakSingleFrameLossIsExact(t *testing.T) {
 	damaged := bytes.Clone(encoded)
 	damaged[off+16] ^= 0xa5
 
-	r, err := lenientSource(damaged)
+	ev, err := replayEvents(t, damaged, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, serr := stride.IdealFromSourceSalvage(context.Background(), r)
+	ideal := stride.NewIdeal()
+	n, serr := ev.Pass(ideal)
 	var ce *tracefmt.CorruptionError
 	if !errors.As(serr, &ce) {
 		t.Fatalf("err = %v, want *CorruptionError", serr)
 	}
-	st := r.Stats()
+	st := ev.Stats()
 	if st.SkippedFrames != 1 || st.Corruptions != 1 {
 		t.Fatalf("SkippedFrames/Corruptions = %d/%d, want 1/1", st.SkippedFrames, st.Corruptions)
 	}
 	if st.SkippedEvents != batch {
 		t.Fatalf("SkippedEvents = %d, want exactly one frame (%d)", st.SkippedEvents, batch)
 	}
-	if st.Events != total-batch {
-		t.Fatalf("delivered %d events, want %d (all but one frame)", st.Events, total-batch)
+	if st.Events != total-batch || int64(n) != st.Events {
+		t.Fatalf("delivered %d events (pass counted %d), want %d (all but one frame)", st.Events, n, total-batch)
 	}
-	if p == nil {
-		t.Fatal("no salvaged profiler")
+	if len(ideal.Execs()) == 0 {
+		t.Fatal("salvaged pass fed the stride profiler nothing")
 	}
 }
