@@ -130,9 +130,9 @@ vet:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
 # Short fuzz pass over every decoder that parses untrusted bytes: the trace
-# reader, the profile/grammar decoders, and the ORMP/1 ingest paths (a live
-# server connection, and the router's routing path in front of a live
-# shard). ~$(FUZZTIME) per target.
+# reader, the profile/grammar decoders, grammar snapshot restore, and the
+# ORMP/1 ingest paths (a live server connection, and the router's routing
+# path in front of a live shard). ~$(FUZZTIME) per target.
 fuzz-short:
 	$(GO) test -fuzz='^FuzzReader$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt/
 	$(GO) test -fuzz='^FuzzReaderResync$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt/
@@ -141,6 +141,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzReadProfile -fuzztime=$(FUZZTIME) ./internal/leap/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/sequitur/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/sequitur/
+	$(GO) test -fuzz=FuzzSnapshotRestore -fuzztime=$(FUZZTIME) ./internal/sequitur/
 	$(GO) test -fuzz=FuzzTreeOps -fuzztime=$(FUZZTIME) ./internal/soabtree/
 	$(GO) test -fuzz=FuzzPlanReader -fuzztime=$(FUZZTIME) ./internal/plan/
 	$(GO) test -fuzz='^FuzzSession$$' -fuzztime=$(FUZZTIME) ./internal/serve/

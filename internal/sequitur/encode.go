@@ -30,24 +30,47 @@ import (
 // EncodedSize returns the exact size in bytes of Encode's output without
 // materializing it.
 func (g *Grammar) EncodedSize() int {
+	return g.layout().size
+}
+
+// encoding is a grammar's serialized layout: its rules in ascending-ID
+// order, each one's body length, and the exact byte size of Encode's
+// output. Each rule's serialized index is left in its ord, so a
+// non-terminal's tag costs no lookup.
+type encoding struct {
+	rules []*Rule
+	lens  []int
+	size  int
+}
+
+// layout computes the encoding with one sort of the rule IDs and one walk
+// of every body; Encode then needs just one more walk to emit the bytes.
+func (g *Grammar) layout() encoding {
 	ids := g.RuleIDs()
-	idx := make(map[uint32]uint64, len(ids))
-	for i, id := range ids {
-		idx[id] = uint64(i)
+	e := encoding{
+		rules: make([]*Rule, len(ids)),
+		lens:  make([]int, len(ids)),
+		size:  uvarintLen(uint64(len(ids))),
 	}
-	n := uvarintLen(uint64(len(ids)))
-	for _, id := range ids {
+	for i, id := range ids {
 		r := g.rules[id]
-		n += uvarintLen(uint64(r.Len()))
+		r.ord = uint32(i)
+		e.rules[i] = r
+	}
+	for i, r := range e.rules {
+		n := 0
 		for s := r.first(); !s.guard; s = s.next {
 			if s.rule != nil {
-				n += uvarintLen(idx[s.rule.ID]*2 + 1)
+				e.size += uvarintLen(uint64(s.rule.ord)*2 + 1)
 			} else {
-				n += uvarintLen(s.term * 2)
+				e.size += uvarintLen(s.term * 2)
 			}
+			n++
 		}
+		e.lens[i] = n
+		e.size += uvarintLen(uint64(n))
 	}
-	return n
+	return e
 }
 
 func uvarintLen(v uint64) int {
@@ -61,19 +84,14 @@ func uvarintLen(v uint64) int {
 
 // Encode serializes the grammar.
 func (g *Grammar) Encode() []byte {
-	ids := g.RuleIDs()
-	idx := make(map[uint32]uint64, len(ids))
-	for i, id := range ids {
-		idx[id] = uint64(i)
-	}
-	buf := make([]byte, 0, g.EncodedSize())
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		r := g.rules[id]
-		buf = binary.AppendUvarint(buf, uint64(r.Len()))
+	e := g.layout()
+	buf := make([]byte, 0, e.size)
+	buf = binary.AppendUvarint(buf, uint64(len(e.rules)))
+	for i, r := range e.rules {
+		buf = binary.AppendUvarint(buf, uint64(e.lens[i]))
 		for s := r.first(); !s.guard; s = s.next {
 			if s.rule != nil {
-				buf = binary.AppendUvarint(buf, idx[s.rule.ID]*2+1)
+				buf = binary.AppendUvarint(buf, uint64(s.rule.ord)*2+1)
 			} else {
 				buf = binary.AppendUvarint(buf, s.term*2)
 			}

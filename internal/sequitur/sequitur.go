@@ -25,7 +25,10 @@
 // within one.
 package sequitur
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // symbol is one element of a rule body: either a terminal value or a
 // non-terminal reference to a rule. Each rule body is a circular
@@ -40,7 +43,14 @@ type symbol struct {
 // Rule is one grammar rule. Its body is the circular list hanging off the
 // guard.
 type Rule struct {
-	ID    uint32
+	ID uint32
+	// ord is scratch for the whole-grammar walks that index rules densely
+	// (Encode, EncodedSize, FromSnapshot, CheckInvariants): the rule's
+	// position in the walk's rule list. It is meaningless outside such a
+	// walk — one reason even those read-only-looking methods must not run
+	// concurrently — and it sits in what would otherwise be padding, so it
+	// costs no memory.
+	ord   uint32
 	guard *symbol
 	refs  int
 }
@@ -344,11 +354,7 @@ func (g *Grammar) RuleIDs() []uint32 {
 	for id := range g.rules {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
+	slices.Sort(ids)
 	return ids
 }
 
