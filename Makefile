@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-race test-short test-soak test-soak-race bench bench-json bench-allocs vet lint fuzz-short experiments ci
+.PHONY: all build test test-race test-short test-soak test-soak-race bench bench-json bench-allocs vet lint fuzz-short experiments ci loc
 
 # Pinned linter versions — keep in sync with .github/workflows/ci.yml.
 STATICCHECK_VERSION ?= 2025.1
@@ -149,3 +149,15 @@ fuzz-short:
 	$(GO) test -fuzz='^FuzzRouterTable$$' -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -fuzz='^FuzzCountMin$$' -fuzztime=$(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz='^FuzzBloom$$' -fuzztime=$(FUZZTIME) ./internal/sketch/
+
+# Non-test Go lines per package directory, then per top-level directory,
+# then in total. perfbench/ is excluded: it is the benchmark's own module.
+# Run it on two checkouts and diff the outputs to report net lines per area.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -print0 | \
+		xargs -0 wc -l | grep -v ' total$$' | \
+		awk '{ d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); \
+			pkg[d] += $$1; split(d, p, "/"); top[p[1] "/"] += $$1; all += $$1 } \
+		END { for (d in pkg) printf "%7d  %s\n", pkg[d], d; \
+			for (t in top) printf "%7d  %s (all)\n", top[t], t; \
+			printf "%7d  total\n", all }' | sort -k2

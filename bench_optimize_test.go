@@ -21,7 +21,7 @@ func BenchmarkOptimizePipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := ev.Optimize(cliutil.OptimizeConfig{Workers: 1, Seed: 42})
+		res, err := ev.Optimize(cliutil.OptimizeConfig{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

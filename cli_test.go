@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -178,9 +179,9 @@ func TestCLIRecordAndReplay(t *testing.T) {
 		}
 	}
 
-	// The deprecated whomp -trace alias still replays: same OMSG line.
+	// A replayed run prints the same OMSG line as the live one.
 	live := runTool(t, "whomp", "-workload", "linkedlist")
-	replay := runTool(t, "whomp", "-trace", tr)
+	replay := runTool(t, "whomp", "-replay", tr)
 	pick := func(out string) string {
 		for _, line := range strings.Split(out, "\n") {
 			if strings.Contains(line, "OMSG:") {
@@ -372,6 +373,81 @@ func TestCLIApprox(t *testing.T) {
 	// exit-2 convention reports it.
 	out = runToolExit(t, 2, "whomp", "-replay", tr, "-approx", "-mem-budget", "1K")
 	wantContains(t, out, "profiling degraded to")
+
+	// regularity and locality take both flags like every other subcommand.
+	for _, sub := range []string{"regularity", "locality"} {
+		out = runToolExit(t, 0, "ormprof", sub, "-replay", tr, "-approx")
+		wantContains(t, out, "mode sketch-stride")
+		out = runToolExit(t, 2, "ormprof", sub, "-replay", tr, "-mem-budget", "1K")
+		wantContains(t, out, "profiling degraded to")
+	}
+}
+
+// govReport matches one governance report of a pass that a roomy budget
+// never tripped.
+var govReport = regexp.MustCompile(`^# resource governance\nmode full\nbudget 1073741824\nused \d+\nsteps 0\n`)
+
+// TestCLIGovernedPassesOnePath: every tool runs its analysis passes
+// through the one governed entry point. Under a budget that never trips,
+// a tool's stdout is its ungoverned stdout followed by one governance
+// report per governed pass (optimize sets them off with a blank line),
+// and both runs exit 0.
+func TestCLIGovernedPassesOnePath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	src := []string{"-workload", "197.parser"}
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		passes int
+	}{
+		{"whomp", []string{"whomp"}, 2},
+		{"leap", []string{"leap"}, 1},
+		{"stridescan", []string{"stridescan"}, 2},
+		{"mdep", []string{"mdep"}, 1},
+		{"phasescan", []string{"phasescan"}, 1},
+		{"layoutopt", []string{"layoutopt"}, 1},
+		{"translate", []string{"ormprof", "translate"}, 1},
+		{"groups", []string{"ormprof", "groups"}, 1},
+		{"grammar", []string{"ormprof", "grammar"}, 1},
+		{"regularity", []string{"ormprof", "regularity"}, 1},
+		{"locality", []string{"ormprof", "locality"}, 1},
+		{"optimize", []string{"ormprof", "optimize", "-plan", "none"}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout := func(extra ...string) string {
+				t.Helper()
+				args := append(append(append([]string{}, tc.args[1:]...), src...), extra...)
+				out, err := exec.Command(filepath.Join(buildTools(t), tc.args[0]), args...).Output()
+				if err != nil {
+					t.Fatalf("%v %v: %v", tc.args[0], args, err)
+				}
+				return string(out)
+			}
+			plain := stdout()
+			governed := stdout("-mem-budget", "1G")
+			rest, ok := strings.CutPrefix(governed, plain)
+			if !ok {
+				t.Fatalf("governed stdout does not start with the ungoverned stdout:\n%s\n--- ungoverned ---\n%s", governed, plain)
+			}
+			if tc.name == "optimize" {
+				if rest, ok = strings.CutPrefix(rest, "\n"); !ok {
+					t.Fatalf("optimize: no blank line before the governance report:\n%s", governed)
+				}
+			}
+			for i := 0; i < tc.passes; i++ {
+				m := govReport.FindString(rest)
+				if m == "" {
+					t.Fatalf("report %d of %d missing or degraded; tail:\n%s", i+1, tc.passes, rest)
+				}
+				rest = rest[len(m):]
+			}
+			if rest != "" {
+				t.Errorf("unexpected output after %d report(s):\n%s", tc.passes, rest)
+			}
+		})
+	}
 }
 
 func TestCLIReplaySingleWorkloadTools(t *testing.T) {

@@ -60,19 +60,13 @@ func run(workload string, wcfg workloads.Config, cache string, tf *cliutil.Trace
 	// skip, deadline, budget degradation) still yield partial results and
 	// exit 2 through deg.
 	var deg cliutil.Degraded
-	d, err := ev.DeriveLayout(uint64(wcfg.Seed))
-	if err := deg.Check(err); err != nil {
+	d, rung, err := ev.DeriveLayout(&deg)
+	if err != nil {
 		return err
 	}
-	if d.OMC == nil {
-		fmt.Printf("workload %s: layout analysis unavailable (degraded to %s)\n", ev.Name, d.Ladder.Rung())
-		if err := cliutil.WriteGovernance(os.Stdout, d.Ladder); err != nil {
-			return err
-		}
-		if err := deg.Check(d.Ladder.Err()); err != nil {
-			return err
-		}
-		return deg.Err()
+	if d == nil {
+		fmt.Printf("workload %s: layout analysis unavailable (degraded to %s)\n", ev.Name, rung)
+		return ev.Finish(os.Stdout, &deg)
 	}
 	recs, o := d.Records, d.OMC
 	full := d.Planner.BuildPlan(ev.Name, o)
@@ -110,13 +104,5 @@ func run(workload string, wcfg workloads.Config, cache string, tf *cliutil.Trace
 	beforeAMAT, afterAMAT := amat(orig), amat(bothResolver)
 	fmt.Printf("\nAMAT (L1 4cy, L2 12cy, mem 200cy): %.2f -> %.2f cycles/access (%.1f%% faster)\n",
 		beforeAMAT, afterAMAT, 100*(1-afterAMAT/beforeAMAT))
-	if d.Ladder != nil {
-		if err := cliutil.WriteGovernance(os.Stdout, d.Ladder); err != nil {
-			return err
-		}
-		if err := deg.Check(d.Ladder.Err()); err != nil {
-			return err
-		}
-	}
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg)
 }

@@ -19,7 +19,6 @@ import (
 
 	"ormprof/internal/cliutil"
 	"ormprof/internal/experiments"
-	"ormprof/internal/govern"
 	"ormprof/internal/leap"
 	"ormprof/internal/report"
 	"ormprof/internal/workloads"
@@ -44,9 +43,6 @@ func main() {
 }
 
 func run(workload string, cfg workloads.Config, maxLMADs int, out string, csvOut bool, workers int, tf *cliutil.TraceFlags) error {
-	if err := cliutil.CheckWorkers(workers); err != nil {
-		return err
-	}
 	if workload != "" || tf.Active() {
 		return runOne(workload, cfg, maxLMADs, out, workers, tf)
 	}
@@ -66,20 +62,22 @@ func run(workload string, cfg workloads.Config, maxLMADs int, out string, csvOut
 	return nil
 }
 
+// runOne profiles a single event stream. A governed run that degraded
+// below the sampled rung renders only the governance report; the
+// degradation exits 2 through the usual salvage path.
 func runOne(workload string, cfg workloads.Config, maxLMADs int, out string, workers int, tf *cliutil.TraceFlags) error {
 	ev, err := tf.Load(workload, cfg)
 	if err != nil {
 		return err
 	}
-
-	if ev.Governed() {
-		return runOneGoverned(ev, maxLMADs, out, uint64(cfg.Seed))
-	}
-
 	var deg cliutil.Degraded
-	profile, err := cliutil.Analyze(ev, &deg, leap.NewParallel(ev.Sites, maxLMADs, workers))
+	profile, rung, err := cliutil.Analyze(ev, &deg, workers, func(w int) *leap.Profiler { return leap.NewParallel(ev.Sites, maxLMADs, w) })
 	if err != nil {
 		return err
+	}
+	if profile == nil {
+		fmt.Printf("workload %s: LEAP profile unavailable (degraded to %s)\n", ev.Name, rung)
+		return ev.Finish(os.Stdout, &deg)
 	}
 
 	accPct, instrPct := profile.SampleQuality()
@@ -99,46 +97,5 @@ func runOne(workload string, cfg workloads.Config, maxLMADs int, out string, wor
 		}
 		fmt.Printf("  wrote profile to %s\n", out)
 	}
-	return deg.Err()
-}
-
-// runOneGoverned is runOne under a memory budget: the sequential LEAP
-// profiler runs behind a degradation ladder. A sampled profile still
-// renders and writes; below that only the governance report remains, and
-// the degradation exits 2 through the usual salvage path.
-func runOneGoverned(ev *cliutil.Events, maxLMADs int, out string, seed uint64) error {
-	var deg cliutil.Degraded
-	lad, _, perr := ev.GovernedPass(seed, func() govern.Mode { return leap.New(ev.Sites, maxLMADs) })
-	if err := deg.Check(perr); err != nil {
-		return err
-	}
-
-	if lp, ok := lad.FullMode().(*leap.Profiler); ok {
-		profile := lp.Profile(ev.Name)
-		accPct, instrPct := profile.SampleQuality()
-		fmt.Printf("workload %s: %d accesses, %d streams, %d LMADs\n",
-			ev.Name, profile.Records, len(profile.Streams), profile.TotalLMADs())
-		fmt.Printf("  profile: %d bytes (compression %.0fx)\n", profile.EncodedSize(), profile.CompressionRatio())
-		fmt.Printf("  sample quality: %.1f%% of accesses, %.1f%% of instructions\n", accPct, instrPct)
-		if out != "" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if _, err := profile.WriteTo(f); err != nil {
-				return err
-			}
-			fmt.Printf("  wrote profile to %s\n", out)
-		}
-	} else {
-		fmt.Printf("workload %s: LEAP profile unavailable (degraded to %s)\n", ev.Name, lad.Rung())
-	}
-	if err := cliutil.WriteGovernance(os.Stdout, lad); err != nil {
-		return err
-	}
-	if err := deg.Check(lad.Err()); err != nil {
-		return err
-	}
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg)
 }

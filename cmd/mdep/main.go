@@ -21,7 +21,6 @@ import (
 	"ormprof/internal/cliutil"
 	"ormprof/internal/depend"
 	"ormprof/internal/experiments"
-	"ormprof/internal/govern"
 	"ormprof/internal/leap"
 	"ormprof/internal/report"
 	"ormprof/internal/workloads"
@@ -58,7 +57,7 @@ func run(workload string, cfg workloads.Config, maxLMADs, window int, bench stri
 		if err != nil {
 			return err
 		}
-		return depOne(ev, maxLMADs, window, uint64(cfg.Seed))
+		return depOne(ev, maxLMADs, window)
 	}
 
 	rows := experiments.Dependence(experiments.DepConfig{
@@ -105,58 +104,38 @@ func run(workload string, cfg workloads.Config, maxLMADs, window int, bench stri
 // streaming passes: the lossless baseline, the LEAP estimate, and Connors.
 // Salvaged passes still print the comparison over the partial stream; the
 // remembered error makes the tool exit 2.
-func depOne(ev *cliutil.Events, maxLMADs, window int, seed uint64) error {
+func depOne(ev *cliutil.Events, maxLMADs, window int) error {
 	var deg cliutil.Degraded
+	// Only the LEAP estimate runs through the governed entry point: the
+	// lossless baseline and the Connors profiler ARE the experiment's
+	// ground truth, so degrading them would corrupt the comparison rather
+	// than bound it.
 	ideal := depend.NewIdeal()
 	_, perr := ev.Pass(ideal)
 	if err := deg.Check(perr); err != nil {
 		return err
 	}
-	// Only the LEAP estimate is governed by -mem-budget: the lossless
-	// baseline and the Connors profiler ARE the experiment's ground truth,
-	// so degrading them would corrupt the comparison rather than bound it.
-	var llad *govern.Ladder
-	var leapRes *depend.Result
-	if ev.Governed() {
-		llad, _, perr = ev.GovernedPass(seed, func() govern.Mode { return leap.New(ev.Sites, maxLMADs) })
-		if err := deg.Check(perr); err != nil {
-			return err
-		}
-		if lp, ok := llad.FullMode().(*leap.Profiler); ok {
-			leapRes = depend.FromLEAP(lp.Profile(ev.Name))
-		}
-	} else {
-		lprof, err := cliutil.Analyze(ev, &deg, leap.New(ev.Sites, maxLMADs))
-		if err != nil {
-			return err
-		}
-		leapRes = depend.FromLEAP(lprof)
+	lprof, rung, err := cliutil.Analyze(ev, &deg, 1, func(int) *leap.Profiler { return leap.New(ev.Sites, maxLMADs) })
+	if err != nil {
+		return err
 	}
 	con := depend.NewConnors(window)
 	_, perr = ev.Pass(con)
 	if err := deg.Check(perr); err != nil {
 		return err
 	}
-	if leapRes == nil {
+	if lprof == nil {
 		fmt.Printf("workload %s: LEAP estimate unavailable (degraded to %s); Connors only\n",
-			ev.Name, llad.Rung())
+			ev.Name, rung)
 		printDistributions(ev.Name,
 			depend.ErrorDist{},
 			depend.Distribution(ideal.Result(), con.Result()))
 	} else {
 		printDistributions(ev.Name,
-			depend.Distribution(ideal.Result(), leapRes),
+			depend.Distribution(ideal.Result(), depend.FromLEAP(lprof)),
 			depend.Distribution(ideal.Result(), con.Result()))
 	}
-	if llad != nil {
-		if err := cliutil.WriteGovernance(os.Stdout, llad); err != nil {
-			return err
-		}
-		if err := deg.Check(llad.Err()); err != nil {
-			return err
-		}
-	}
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg)
 }
 
 func printDistributions(name string, leapDist, connDist depend.ErrorDist) {

@@ -3,11 +3,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"sort"
 
 	"ormprof/internal/cliutil"
 	"ormprof/internal/decomp"
-	"ormprof/internal/govern"
 	"ormprof/internal/hotstream"
 	"ormprof/internal/whomp"
 )
@@ -21,9 +21,6 @@ func grammarCmd(args []string) error {
 	dimName := fs.String("dim", "offset", "dimension: instr, group, object, or offset")
 	workers := cliutil.WorkersFlag(fs)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
-	if err := cliutil.CheckWorkers(*workers); err != nil {
-		return err
-	}
 
 	var dim decomp.Dimension
 	switch *dimName {
@@ -44,24 +41,13 @@ func grammarCmd(args []string) error {
 		return err
 	}
 	var deg cliutil.Degraded
-	var profile *whomp.Profile
-	var lad *govern.Ladder
-	if ev.Governed() {
-		var perr error
-		lad, _, perr = ev.GovernedPass(uint64(*seed), func() govern.Mode { return whomp.New(ev.Sites) })
-		if err := deg.Check(perr); err != nil {
-			return err
-		}
-		wp, ok := lad.FullMode().(*whomp.Profiler)
-		if !ok {
-			fmt.Printf("workload %s: grammar unavailable (degraded to %s)\n", ev.Name, lad.Rung())
-			return finishGoverned(&deg, lad)
-		}
-		profile = wp.Profile(ev.Name)
-	} else {
-		if profile, err = cliutil.Analyze(ev, &deg, whomp.NewParallel(ev.Sites, *workers)); err != nil {
-			return err
-		}
+	profile, rung, err := cliutil.Analyze(ev, &deg, *workers, func(w int) *whomp.Profiler { return whomp.NewParallel(ev.Sites, w) })
+	if err != nil {
+		return err
+	}
+	if profile == nil {
+		fmt.Printf("workload %s: grammar unavailable (degraded to %s)\n", ev.Name, rung)
+		return ev.Finish(os.Stdout, &deg)
 	}
 	g := profile.Grammars[dim]
 
@@ -91,5 +77,5 @@ func grammarCmd(args []string) error {
 	if len(streams) == 0 {
 		fmt.Println("  (no repeated subsequences — the stream is unique throughout)")
 	}
-	return finishGoverned(&deg, lad)
+	return ev.Finish(os.Stdout, &deg)
 }

@@ -14,7 +14,9 @@ import (
 // measurement, related work [10]) at two granularities: hardware cache
 // lines over raw addresses, and objects over the object-relative stream.
 // The line histogram's miss-ratio curve predicts fully associative LRU
-// cache behaviour exactly.
+// cache behaviour exactly. The object-relative translation runs through
+// the governed entry point, so -mem-budget and -approx bound it; the raw
+// cache-line pass keeps only a reuse-distance stack and stays ungoverned.
 func localityCmd(args []string) error {
 	fs := flag.NewFlagSet("locality", flag.ExitOnError)
 	w, scale, seed, _, tf := workloadFlags(fs)
@@ -32,9 +34,13 @@ func localityCmd(args []string) error {
 		return err
 	}
 	lineHist := ls.Histogram()
-	recs, _, err := ev.Translate()
-	if err := deg.Check(err); err != nil {
+	recs, o, rung, err := ev.Translate(&deg)
+	if err != nil {
 		return err
+	}
+	if o == nil {
+		fmt.Printf("workload %s: object locality unavailable (degraded to %s)\n", ev.Name, rung)
+		return ev.Finish(os.Stdout, &deg)
 	}
 	objHist := locality.ObjectHistogram(recs)
 
@@ -48,5 +54,5 @@ func localityCmd(args []string) error {
 	fmt.Println("\nline rows predict a fully associative LRU cache of that many lines")
 	fmt.Println("exactly; object rows measure locality of the object-relative stream,")
 	fmt.Println("independent of allocator placement.")
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg)
 }

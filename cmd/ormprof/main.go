@@ -22,11 +22,8 @@ import (
 	"os"
 
 	"ormprof/internal/cliutil"
-	"ormprof/internal/govern"
 	"ormprof/internal/leap"
 	"ormprof/internal/memsim"
-	"ormprof/internal/omc"
-	"ormprof/internal/profiler"
 	"ormprof/internal/report"
 	"ormprof/internal/trace"
 	"ormprof/internal/tracefmt"
@@ -167,13 +164,13 @@ func translateCmd(args []string) error {
 		return err
 	}
 	var deg cliutil.Degraded
-	lad, recs, o, err := translate(ev, uint64(*seed))
-	if err := deg.Check(err); err != nil {
+	recs, o, rung, err := ev.Translate(&deg)
+	if err != nil {
 		return err
 	}
-	if lad != nil && o == nil {
-		fmt.Printf("translation unavailable (degraded to %s)\n", lad.Rung())
-		return finishGoverned(&deg, lad)
+	if o == nil {
+		fmt.Printf("translation unavailable (degraded to %s)\n", rung)
+		return ev.Finish(os.Stdout, &deg)
 	}
 	for i, r := range recs {
 		if i == *n {
@@ -184,32 +181,7 @@ func translateCmd(args []string) error {
 	}
 	translated, unmapped := o.Stats()
 	fmt.Printf("translated %d accesses (%d unmapped)\n", translated+unmapped, unmapped)
-	return finishGoverned(&deg, lad)
-}
-
-// translate dispatches between the plain and budget-governed translation
-// paths. Under -mem-budget a nil OMC means the ladder dropped below the
-// sampled rung and only the governance report remains.
-func translate(ev *cliutil.Events, seed uint64) (*govern.Ladder, []profiler.Record, *omc.OMC, error) {
-	if ev.Governed() {
-		return ev.TranslateGoverned(seed)
-	}
-	recs, o, err := ev.Translate()
-	return nil, recs, o, err
-}
-
-// finishGoverned renders the governance report (if any) and folds the
-// ladder's degradation into the accumulated salvage state.
-func finishGoverned(deg *cliutil.Degraded, lad *govern.Ladder) error {
-	if lad != nil {
-		if err := cliutil.WriteGovernance(os.Stdout, lad); err != nil {
-			return err
-		}
-		if err := deg.Check(lad.Err()); err != nil {
-			return err
-		}
-	}
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg)
 }
 
 func groupsCmd(args []string) error {
@@ -221,13 +193,13 @@ func groupsCmd(args []string) error {
 		return err
 	}
 	var deg cliutil.Degraded
-	lad, _, o, err := translate(ev, uint64(*seed))
-	if err := deg.Check(err); err != nil {
+	_, o, rung, err := ev.Translate(&deg)
+	if err != nil {
 		return err
 	}
-	if lad != nil && o == nil {
-		fmt.Printf("group table unavailable (degraded to %s)\n", lad.Rung())
-		return finishGoverned(&deg, lad)
+	if o == nil {
+		fmt.Printf("group table unavailable (degraded to %s)\n", rung)
+		return ev.Finish(os.Stdout, &deg)
 	}
 	tbl := report.NewTable("Group", "Name", "Site", "Objects", "First object", "Sizes")
 	for _, g := range o.Groups() {
@@ -254,7 +226,7 @@ func groupsCmd(args []string) error {
 		tbl.AddRowf(g.ID, g.Name, g.Site, g.Count, first, sizes)
 	}
 	tbl.WriteTo(os.Stdout) //nolint:errcheck // stdout
-	return finishGoverned(&deg, lad)
+	return ev.Finish(os.Stdout, &deg)
 }
 
 func inspectCmd(args []string) error {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +40,6 @@ func optimizeCmd(args []string) error {
 	var deg cliutil.Degraded
 	res, err := ev.Optimize(cliutil.OptimizeConfig{
 		Workers:   *workers,
-		Seed:      uint64(*seed),
 		Lookahead: *lookahead,
 		PlanPath:  path,
 	})
@@ -55,16 +55,15 @@ func optimizeCmd(args []string) error {
 			return err
 		}
 	}
-	if len(res.Ladders) > 0 {
+	// The governance report, if any, is set off from the results by a
+	// blank line.
+	var gov bytes.Buffer
+	err = ev.Finish(&gov, &deg)
+	if gov.Len() > 0 {
 		fmt.Println()
-		if err := cliutil.WriteGovernance(os.Stdout, res.Ladders...); err != nil {
-			return err
+		if _, werr := gov.WriteTo(os.Stdout); werr != nil {
+			return werr
 		}
 	}
-	for _, lad := range res.Ladders {
-		if err := deg.Check(lad.Err()); err != nil {
-			return err
-		}
-	}
-	return deg.Err()
+	return err
 }

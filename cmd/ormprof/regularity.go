@@ -15,7 +15,8 @@ import (
 // after object-relative translation and vertical decomposition, each
 // (instruction, group) sub-stream is either regular (captured by a handful
 // of linear descriptors) or irregular (overflows the budget) — the
-// separation that makes the profile useful.
+// separation that makes the profile useful. The LEAP pass runs through
+// the governed entry point, so -mem-budget and -approx bound it.
 func regularityCmd(args []string) error {
 	fs := flag.NewFlagSet("regularity", flag.ExitOnError)
 	w, scale, seed, n, tf := workloadFlags(fs)
@@ -26,10 +27,20 @@ func regularityCmd(args []string) error {
 		return err
 	}
 	var deg cliutil.Degraded
-	lp := leap.NewParallel(ev.Sites, 0, 0)
-	profile, err := cliutil.Analyze(ev, &deg, lp)
+	// The group names come from the profiler's OMC. build's last call made
+	// the pipeline whose profile comes back: a ladder stepping down to the
+	// sampled rung rebuilds it once.
+	var lp *leap.Profiler
+	profile, rung, err := cliutil.Analyze(ev, &deg, 0, func(w int) *leap.Profiler {
+		lp = leap.NewParallel(ev.Sites, 0, w)
+		return lp
+	})
 	if err != nil {
 		return err
+	}
+	if profile == nil {
+		fmt.Printf("workload %s: regularity unavailable (degraded to %s)\n", ev.Name, rung)
+		return ev.Finish(os.Stdout, &deg)
 	}
 
 	type row struct {
@@ -78,5 +89,5 @@ func regularityCmd(args []string) error {
 	fmt.Printf("\nseparation (Figure 2): %.0f%% of accesses in regular sub-streams, %.0f%% irregular\n",
 		100*float64(regular)/float64(profile.Records),
 		100*float64(irregular)/float64(profile.Records))
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg)
 }

@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"ormprof/internal/cliutil"
-	"ormprof/internal/govern"
 	"ormprof/internal/leap"
 	"ormprof/internal/omc"
 	"ormprof/internal/phase"
@@ -50,41 +49,28 @@ func run(workload string, cfg workloads.Config, interval, maxLMADs int, tf *cliu
 	}
 
 	var deg cliutil.Degraded
-	var lads []*govern.Ladder
+	var ev *cliutil.Events
 	tbl := report.NewTable("Benchmark", "Phases", "Transitions", "Monolithic capture", "Phase-cognizant capture")
 	for _, name := range names {
 		flags := tf
 		if workload == "" && !tf.Active() {
 			flags = &cliutil.TraceFlags{}
 		}
-		ev, err := flags.Load(name, cfg)
-		if err != nil {
+		var err error
+		if ev, err = flags.Load(name, cfg); err != nil {
 			return err
 		}
 
-		// Only the monolithic LEAP baseline is governed by -mem-budget; the
-		// phase-cognizant pass is the experiment's subject and stays
-		// lossless so the comparison measures phases, not sampling.
-		monoCell := "n/a"
-		if ev.Governed() {
-			mlad, _, perr := ev.GovernedPass(uint64(cfg.Seed), func() govern.Mode { return leap.New(ev.Sites, maxLMADs) })
-			if err := deg.Check(perr); err != nil {
-				return err
-			}
-			if mp, ok := mlad.FullMode().(*leap.Profiler); ok {
-				acc, _ := mp.Profile(ev.Name).SampleQuality()
-				monoCell = report.Pct(acc)
-			} else {
-				monoCell = "degraded (" + mlad.Rung().String() + ")"
-			}
-			lads = append(lads, mlad)
-		} else {
-			mono := leap.New(ev.Sites, maxLMADs)
-			_, perr := ev.Pass(mono)
-			if err := deg.Check(perr); err != nil {
-				return err
-			}
-			acc, _ := mono.Profile(ev.Name).SampleQuality()
+		// Only the monolithic LEAP baseline runs through the governed entry
+		// point; the phase-cognizant pass is the experiment's subject and
+		// stays lossless so the comparison measures phases, not sampling.
+		mono, rung, err := cliutil.Analyze(ev, &deg, 1, func(int) *leap.Profiler { return leap.New(ev.Sites, maxLMADs) })
+		if err != nil {
+			return err
+		}
+		monoCell := "degraded (" + rung.String() + ")"
+		if mono != nil {
+			acc, _ := mono.SampleQuality()
 			monoCell = report.Pct(acc)
 		}
 
@@ -104,13 +90,7 @@ func run(workload string, cfg workloads.Config, interval, maxLMADs int, tf *cliu
 	tbl.WriteTo(os.Stdout) //nolint:errcheck // stdout
 	fmt.Println("\nphase-cognizant streams are more homogeneous, so the same LMAD budget")
 	fmt.Println("captures at least as much per phase (§6 future work, implemented here).")
-	if err := cliutil.WriteGovernance(os.Stdout, lads...); err != nil {
-		return err
-	}
-	for _, lad := range lads {
-		if err := deg.Check(lad.Err()); err != nil {
-			return err
-		}
-	}
-	return deg.Err()
+	// A governed run reads exactly one stream (-workload or -replay), so
+	// the last stream's Finish renders every governance report.
+	return ev.Finish(os.Stdout, &deg)
 }

@@ -19,7 +19,6 @@ import (
 
 	"ormprof/internal/cliutil"
 	"ormprof/internal/experiments"
-	"ormprof/internal/govern"
 	"ormprof/internal/leap"
 	"ormprof/internal/report"
 	"ormprof/internal/stride"
@@ -45,15 +44,12 @@ func main() {
 }
 
 func run(workload string, cfg workloads.Config, maxLMADs int, verbose bool, workers int, tf *cliutil.TraceFlags) error {
-	if err := cliutil.CheckWorkers(workers); err != nil {
-		return err
-	}
 	if workload != "" || tf.Active() {
 		ev, err := tf.Load(workload, cfg)
 		if err != nil {
 			return err
 		}
-		return scanOne(ev, maxLMADs, workers, uint64(cfg.Seed))
+		return scanOne(ev, maxLMADs, workers)
 	}
 
 	rows := experiments.Fig9(cfg, maxLMADs)
@@ -80,7 +76,7 @@ func run(workload string, cfg workloads.Config, maxLMADs int, verbose bool, work
 				return err
 			}
 			fmt.Printf("\n%s:\n", name)
-			if err := scanOne(ev, maxLMADs, workers, uint64(cfg.Seed)); err != nil {
+			if err := scanOne(ev, maxLMADs, workers); err != nil {
 				return err
 			}
 		}
@@ -91,70 +87,33 @@ func run(workload string, cfg workloads.Config, maxLMADs int, verbose bool, work
 // scanOne scores LEAP's stride identification for one event stream against
 // the lossless reference profiler — two streaming passes. Salvaged passes
 // still print the comparison; the remembered error makes the tool exit 2.
-func scanOne(ev *cliutil.Events, maxLMADs, workers int, seed uint64) error {
-	if ev.Governed() {
-		return scanOneGoverned(ev, maxLMADs, seed)
-	}
+// Under a memory budget the reference survives two step-downs of its
+// ladder: the stride-only rung IS the reference profiler.
+func scanOne(ev *cliutil.Events, maxLMADs, workers int) error {
 	var deg cliutil.Degraded
-	ideal := stride.NewIdeal()
-	_, perr := ev.Pass(ideal)
-	if err := deg.Check(perr); err != nil {
-		return err
-	}
-	lprof, err := cliutil.Analyze(ev, &deg, leap.NewParallel(ev.Sites, maxLMADs, workers))
+	ideal, irung, err := cliutil.Run(ev, &deg, workers, func(int) *stride.Ideal { return stride.NewIdeal() })
 	if err != nil {
 		return err
 	}
-	est := stride.FromLEAP(lprof)
-	strong := ideal.StronglyStrided()
-	real := stride.SortedIDs(strong)
-
-	printScan(ev, strong, real, est)
-	return deg.Err()
-}
-
-// scanOneGoverned runs both passes behind degradation ladders. The
-// reference pass is special: its own stride-only rung IS the reference
-// profiler, so the comparison survives two step-downs of that ladder.
-func scanOneGoverned(ev *cliutil.Events, maxLMADs int, seed uint64) error {
-	var deg cliutil.Degraded
-	ilad, _, perr := ev.GovernedPass(seed, func() govern.Mode { return stride.NewIdeal() })
-	if err := deg.Check(perr); err != nil {
+	lprof, lrung, err := cliutil.Analyze(ev, &deg, workers, func(w int) *leap.Profiler { return leap.NewParallel(ev.Sites, maxLMADs, w) })
+	if err != nil {
 		return err
-	}
-	llad, _, perr := ev.GovernedPass(seed, func() govern.Mode { return leap.New(ev.Sites, maxLMADs) })
-	if err := deg.Check(perr); err != nil {
-		return err
-	}
-
-	ideal, _ := ilad.FullMode().(*stride.Ideal)
-	if ideal == nil {
-		ideal = ilad.StrideProfiler()
 	}
 	var est map[trace.InstrID]stride.Info
-	if lp, ok := llad.FullMode().(*leap.Profiler); ok {
-		est = stride.FromLEAP(lp.Profile(ev.Name))
+	if lprof != nil {
+		est = stride.FromLEAP(lprof)
 	}
 	switch {
 	case ideal == nil:
-		fmt.Printf("workload %s: stride reference unavailable (degraded to %s)\n", ev.Name, ilad.Rung())
+		fmt.Printf("workload %s: stride reference unavailable (degraded to %s)\n", ev.Name, irung)
 	case est == nil:
-		fmt.Printf("workload %s: LEAP estimate unavailable (degraded to %s); reference only\n", ev.Name, llad.Rung())
+		fmt.Printf("workload %s: LEAP estimate unavailable (degraded to %s); reference only\n", ev.Name, lrung)
 		fallthrough
 	default:
 		strong := ideal.StronglyStrided()
 		printScan(ev, strong, stride.SortedIDs(strong), est)
 	}
-	if err := cliutil.WriteGovernance(os.Stdout, ilad, llad); err != nil {
-		return err
-	}
-	if err := deg.Check(ilad.Err()); err != nil {
-		return err
-	}
-	if err := deg.Check(llad.Err()); err != nil {
-		return err
-	}
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg)
 }
 
 // printScan renders the per-instruction comparison table and summary. A

@@ -180,7 +180,7 @@ func run(path string, n int, kind string, instr, site int, from, to uint64, coun
 			} else {
 				fmt.Printf("trace %s: summary unavailable (degraded to %s)\n", path, lad.Rung())
 			}
-			if err := cliutil.WriteGovernance(os.Stdout, lad); err != nil {
+			if err := lad.WriteReport(os.Stdout); err != nil {
 				return err
 			}
 			if err := deg.Check(lad.Err()); err != nil {

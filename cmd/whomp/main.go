@@ -21,7 +21,6 @@ import (
 
 	"ormprof/internal/cliutil"
 	"ormprof/internal/experiments"
-	"ormprof/internal/govern"
 	"ormprof/internal/report"
 	"ormprof/internal/whomp"
 	"ormprof/internal/workloads"
@@ -33,25 +32,18 @@ func main() {
 		scale    = flag.Int("scale", 1, "workload scale factor")
 		seed     = flag.Int64("seed", 42, "workload random seed")
 		out      = flag.String("o", "", "write the WHOMP profile of the (single) workload to this file")
-		traceIn  = flag.String("trace", "", "deprecated alias for -replay")
 		csvOut   = flag.Bool("csv", false, "emit the Figure 5 table as CSV (for plotting)")
 	)
 	workers := cliutil.WorkersFlag(flag.CommandLine)
 	tf := cliutil.RegisterTraceFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(*workload, workloads.Config{Scale: *scale, Seed: *seed}, *out, *traceIn, *csvOut, *workers, tf); err != nil {
+	if err := run(*workload, workloads.Config{Scale: *scale, Seed: *seed}, *out, *csvOut, *workers, tf); err != nil {
 		cliutil.Fatal("whomp", err)
 	}
 }
 
-func run(workload string, cfg workloads.Config, out, traceIn string, csvOut bool, workers int, tf *cliutil.TraceFlags) error {
-	if err := cliutil.CheckWorkers(workers); err != nil {
-		return err
-	}
-	if traceIn != "" && tf.Replay == "" {
-		tf.Replay = traceIn
-	}
+func run(workload string, cfg workloads.Config, out string, csvOut bool, workers int, tf *cliutil.TraceFlags) error {
 	if workload != "" || tf.Active() {
 		return runOne(workload, cfg, out, workers, tf)
 	}
@@ -83,37 +75,38 @@ func run(workload string, cfg workloads.Config, out, traceIn string, csvOut bool
 // runOne profiles a single event stream — a live workload run or a
 // replayed trace ("collect once, profile many") — and, because the trace
 // header carries the workload name and site table, both paths produce
-// byte-identical profiles. Salvaged passes (-lenient, -deadline) still
-// print the partial profile; the remembered error makes the tool exit 2.
+// byte-identical profiles. Salvaged passes (-lenient, -deadline,
+// -mem-budget) still print the partial profile — a sampled one, or just
+// the governance report — and the remembered error makes the tool exit 2.
 func runOne(workload string, cfg workloads.Config, out string, workers int, tf *cliutil.TraceFlags) error {
 	ev, err := tf.Load(workload, cfg)
 	if err != nil {
 		return err
 	}
-	if ev.Governed() {
-		// Governed runs are sequential: degradation trip points are then a
-		// pure function of (stream, budget, seed), so output is identical
-		// for every -workers setting.
-		return runOneGoverned(ev, out, uint64(cfg.Seed))
-	}
 	var deg cliutil.Degraded
-
-	profile, err := cliutil.Analyze(ev, &deg, whomp.NewParallel(ev.Sites, workers))
+	profile, wrung, err := cliutil.Analyze(ev, &deg, workers, func(w int) *whomp.Profiler { return whomp.NewParallel(ev.Sites, w) })
+	if err != nil {
+		return err
+	}
+	rasg, rrung, err := cliutil.Run(ev, &deg, workers, func(int) *whomp.RASG { return whomp.NewRASG() })
 	if err != nil {
 		return err
 	}
 
-	rasg := whomp.NewRASG()
-	_, perr := ev.Pass(rasg)
-	if err := deg.Check(perr); err != nil {
-		return err
+	if profile == nil {
+		fmt.Printf("workload %s: full profile unavailable (degraded to %s)\n", ev.Name, wrung)
+		return ev.Finish(os.Stdout, &deg)
 	}
-
 	fmt.Printf("workload %s: %d accesses, %d objects in %d groups\n",
 		ev.Name, profile.Records, profile.Objects.NumObjects(), len(profile.Objects.Groups))
-	fmt.Printf("  RASG: %8d symbols  %8d bytes\n", rasg.Symbols(), rasg.EncodedBytes())
-	fmt.Printf("  OMSG: %8d symbols  %8d bytes  (%.1f%% smaller)\n",
-		profile.Symbols(), profile.EncodedBytes(), whomp.CompressionGain(profile, rasg))
+	if rasg != nil {
+		fmt.Printf("  RASG: %8d symbols  %8d bytes\n", rasg.Symbols(), rasg.EncodedBytes())
+		fmt.Printf("  OMSG: %8d symbols  %8d bytes  (%.1f%% smaller)\n",
+			profile.Symbols(), profile.EncodedBytes(), whomp.CompressionGain(profile, rasg))
+	} else {
+		fmt.Printf("  OMSG: %8d symbols  %8d bytes  (RASG degraded to %s; no comparison)\n",
+			profile.Symbols(), profile.EncodedBytes(), rrung)
+	}
 
 	if out != "" {
 		f, err := os.Create(out)
@@ -127,59 +120,5 @@ func runOne(workload string, cfg workloads.Config, out string, workers int, tf *
 		}
 		fmt.Printf("  wrote %d-byte profile (grammars + object table) to %s\n", n, out)
 	}
-	return deg.Err()
-}
-
-// runOneGoverned is runOne under a memory budget: both passes run behind
-// degradation ladders sharing the invocation budget. Whatever survives
-// still renders — a sampled profile, or just the governance report — and
-// a degraded run exits 2 via the ladder's typed error.
-func runOneGoverned(ev *cliutil.Events, out string, seed uint64) error {
-	var deg cliutil.Degraded
-	wlad, _, perr := ev.GovernedPass(seed, func() govern.Mode { return whomp.New(ev.Sites) })
-	if err := deg.Check(perr); err != nil {
-		return err
-	}
-	rlad, _, perr := ev.GovernedPass(seed, func() govern.Mode { return whomp.NewRASG() })
-	if err := deg.Check(perr); err != nil {
-		return err
-	}
-
-	if wp, ok := wlad.FullMode().(*whomp.Profiler); ok {
-		profile := wp.Profile(ev.Name)
-		fmt.Printf("workload %s: %d accesses, %d objects in %d groups\n",
-			ev.Name, profile.Records, profile.Objects.NumObjects(), len(profile.Objects.Groups))
-		if rasg, ok := rlad.FullMode().(*whomp.RASG); ok {
-			fmt.Printf("  RASG: %8d symbols  %8d bytes\n", rasg.Symbols(), rasg.EncodedBytes())
-			fmt.Printf("  OMSG: %8d symbols  %8d bytes  (%.1f%% smaller)\n",
-				profile.Symbols(), profile.EncodedBytes(), whomp.CompressionGain(profile, rasg))
-		} else {
-			fmt.Printf("  OMSG: %8d symbols  %8d bytes  (RASG degraded to %s; no comparison)\n",
-				profile.Symbols(), profile.EncodedBytes(), rlad.Rung())
-		}
-		if out != "" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			n, err := profile.WriteTo(f)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("  wrote %d-byte profile (grammars + object table) to %s\n", n, out)
-		}
-	} else {
-		fmt.Printf("workload %s: full profile unavailable (degraded to %s)\n", ev.Name, wlad.Rung())
-	}
-	if err := cliutil.WriteGovernance(os.Stdout, wlad, rlad); err != nil {
-		return err
-	}
-	if err := deg.Check(wlad.Err()); err != nil {
-		return err
-	}
-	if err := deg.Check(rlad.Err()); err != nil {
-		return err
-	}
-	return deg.Err()
+	return ev.Finish(os.Stdout, &deg)
 }

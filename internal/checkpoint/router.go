@@ -19,17 +19,16 @@ package checkpoint
 // On-disk container (see docs/FORMATS.md):
 //
 //	magic   "ORMRTAB" (7 bytes)
-//	version 1 byte (currently 2; version-1 files still load)
+//	version 1 byte (2; the routes-only version 1 is rejected)
 //	length  8 bytes little-endian: payload byte count
 //	crc     4 bytes little-endian: CRC-32C (Castagnoli) of the payload
-//	payload gob-encoded RouterState: ring epoch, shard list in ring
-//	        order, routes sorted by session ID (v1 payloads carry only
-//	        the routes and load with Epoch 0 and a nil shard list)
+//	payload gob-encoded RouterState: ring epoch (at least 1), shard list
+//	        in ring order, routes sorted by session ID
 //
-// Writes share Save's crash-atomic discipline, and a torn or bit-flipped
-// table fails the CRC and loads as a *CorruptError — the router treats
-// that as an empty table (every session back to its ring primary), which
-// is always safe.
+// Writes share Save's crash-atomic discipline, and a torn, bit-flipped or
+// unsupported table loads as a *CorruptError — the router treats that as
+// an empty table (every session back to its ring primary), which is
+// always safe.
 
 import (
 	"bytes"
@@ -45,10 +44,8 @@ import (
 const (
 	// RouterMagic identifies a router routing-table file.
 	RouterMagic = "ORMRTAB"
-	// RouterVersion is the current table container version.
+	// RouterVersion is the table container version, the only one read.
 	RouterVersion = 2
-	// routerVersion1 is the pre-epoch container, still readable.
-	routerVersion1 = 1
 	// MaxRouterPayload bounds the table payload so a corrupt header
 	// cannot drive a huge allocation.
 	MaxRouterPayload = 1 << 26
@@ -60,19 +57,12 @@ type Route struct {
 	Shard   string
 }
 
-// RouterTable is the v1 persisted payload: routes only. It remains a
-// named type so old gob payloads decode; new tables persist RouterState.
-type RouterTable struct {
-	Routes []Route // sorted by session ID
-}
-
 // RouterState is the router's full durable state: the ring topology
 // (epoch + shard list) plus every pinned session→shard route. It is both
 // the on-disk payload and the unit of router-to-router replication.
 type RouterState struct {
 	// Epoch is the ring version: 1 for a fresh ring, incremented by every
-	// add-shard/remove-shard. Epoch 0 marks a legacy v1 table that carried
-	// no topology.
+	// add-shard/remove-shard.
 	Epoch uint64
 	// Shards is the ring's shard address list, in ring-build order.
 	Shards []string
@@ -90,7 +80,7 @@ type gobRouterState struct {
 	Routes []Route
 }
 
-// EncodeRouterTable serializes the state into the ORMRTAB v2 container
+// EncodeRouterTable serializes the state into the ORMRTAB container
 // (the exact bytes SaveRouterTable writes). The encoding is canonical:
 // routes are sorted by session ID, so equal states encode equal bytes and
 // a replicated table is byte-identical to its source.
@@ -116,10 +106,12 @@ func EncodeRouterTable(st *RouterState) ([]byte, error) {
 	return append(out, payload.Bytes()...), nil
 }
 
-// DecodeRouterTable parses an ORMRTAB container (v1 or v2) from data. A
-// damaged container returns a *CorruptError with path as its location
-// label (the caller names the source: a file path, or a replication
-// peer).
+// DecodeRouterTable parses an ORMRTAB container from data. A damaged or
+// unsupported container — including the routes-only version 1 and the
+// topology-less epoch 0 it loaded as — returns a *CorruptError with path
+// as its location label (the caller names the source: a file path, or a
+// replication peer). A decoded state always has Epoch >= 1 and a
+// non-empty shard list.
 func DecodeRouterTable(path string, data []byte) (*RouterState, error) {
 	bad := func(format string, args ...any) (*RouterState, error) {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf(format, args...)}
@@ -132,7 +124,7 @@ func DecodeRouterTable(path string, data []byte) (*RouterState, error) {
 		return bad("bad magic")
 	}
 	version := data[len(RouterMagic)]
-	if version != RouterVersion && version != routerVersion1 {
+	if version != RouterVersion {
 		return bad("unsupported version %d", version)
 	}
 	n := binary.LittleEndian.Uint64(data[len(RouterMagic)+1:])
@@ -147,38 +139,29 @@ func DecodeRouterTable(path string, data []byte) (*RouterState, error) {
 	if got := crc32.Checksum(payload, crcTable); got != sum {
 		return bad("payload CRC %#08x, header says %#08x", got, sum)
 	}
-	var routes []Route
-	st := &RouterState{}
-	if version == routerVersion1 {
-		var tab RouterTable
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&tab); err != nil {
-			return bad("payload does not decode: %v", err)
-		}
-		routes = tab.Routes
-	} else {
-		var g gobRouterState
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&g); err != nil {
-			return bad("payload does not decode: %v", err)
-		}
-		st.Epoch = g.Epoch
-		st.Shards = g.Shards
-		routes = g.Routes
-		seen := make(map[string]bool, len(g.Shards))
-		for _, sh := range g.Shards {
-			if sh == "" {
-				return bad("empty shard address in topology")
-			}
-			if seen[sh] {
-				return bad("duplicate shard address %q in topology", sh)
-			}
-			seen[sh] = true
-		}
-		if st.Epoch > 0 && len(st.Shards) == 0 {
-			return bad("epoch %d with empty shard list", st.Epoch)
-		}
+	var g gobRouterState
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&g); err != nil {
+		return bad("payload does not decode: %v", err)
 	}
-	st.Routes = make(map[string]string, len(routes))
-	for _, r := range routes {
+	if g.Epoch == 0 {
+		return bad("epoch 0 (a table without topology)")
+	}
+	if len(g.Shards) == 0 {
+		return bad("epoch %d with empty shard list", g.Epoch)
+	}
+	seen := make(map[string]bool, len(g.Shards))
+	for _, sh := range g.Shards {
+		if sh == "" {
+			return bad("empty shard address in topology")
+		}
+		if seen[sh] {
+			return bad("duplicate shard address %q in topology", sh)
+		}
+		seen[sh] = true
+	}
+	st := &RouterState{Epoch: g.Epoch, Shards: g.Shards}
+	st.Routes = make(map[string]string, len(g.Routes))
+	for _, r := range g.Routes {
 		if r.Session == "" || r.Shard == "" {
 			return bad("route with empty session or shard")
 		}

@@ -69,40 +69,6 @@ func TestRouterTableCanonical(t *testing.T) {
 	}
 }
 
-// TestRouterTableV1Compat: a version-1 container (routes only, no epoch
-// or shard list) still loads, as epoch 0 with a nil topology.
-func TestRouterTableV1Compat(t *testing.T) {
-	var payload bytes.Buffer
-	tab := RouterTable{Routes: []Route{
-		{Session: "old-a", Shard: "h:1"},
-		{Session: "old-b", Shard: "h:2"},
-	}}
-	if err := gob.NewEncoder(&payload).Encode(&tab); err != nil {
-		t.Fatal(err)
-	}
-	data := []byte(RouterMagic)
-	data = append(data, routerVersion1)
-	data = binary.LittleEndian.AppendUint64(data, uint64(payload.Len()))
-	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(payload.Bytes(), crcTable))
-	data = append(data, payload.Bytes()...)
-
-	path := filepath.Join(t.TempDir(), "v1.rtab")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadRouterTable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != 0 || got.Shards != nil {
-		t.Errorf("v1 table: got epoch %d shards %v, want legacy epoch 0, nil shards", got.Epoch, got.Shards)
-	}
-	want := map[string]string{"old-a": "h:1", "old-b": "h:2"}
-	if !reflect.DeepEqual(got.Routes, want) {
-		t.Errorf("v1 routes: got %v want %v", got.Routes, want)
-	}
-}
-
 func TestRouterTableMissingFile(t *testing.T) {
 	_, err := LoadRouterTable(filepath.Join(t.TempDir(), "absent.rtab"))
 	if !errors.Is(err, os.ErrNotExist) {
@@ -154,31 +120,38 @@ func TestRouterTableCorruption(t *testing.T) {
 }
 
 // TestRouterTableInvalidContents: containers whose framing is intact but
-// whose decoded payload violates the format's invariants are corrupt too.
+// whose decoded payload violates the format's invariants are corrupt too,
+// and so are the routes-only version 1 and the topology-less epoch 0 it
+// used to load as.
 func TestRouterTableInvalidContents(t *testing.T) {
-	frame := func(t *testing.T, g gobRouterState) []byte {
+	frame := func(t *testing.T, version byte, payload any) []byte {
 		t.Helper()
-		var payload bytes.Buffer
-		if err := gob.NewEncoder(&payload).Encode(&g); err != nil {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
 			t.Fatal(err)
 		}
 		data := []byte(RouterMagic)
-		data = append(data, RouterVersion)
-		data = binary.LittleEndian.AppendUint64(data, uint64(payload.Len()))
-		data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(payload.Bytes(), crcTable))
-		return append(data, payload.Bytes()...)
+		data = append(data, version)
+		data = binary.LittleEndian.AppendUint64(data, uint64(buf.Len()))
+		data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(buf.Bytes(), crcTable))
+		return append(data, buf.Bytes()...)
 	}
 	cases := map[string]gobRouterState{
 		"duplicate-shard":    {Epoch: 1, Shards: []string{"h:1", "h:1"}},
 		"empty-shard":        {Epoch: 1, Shards: []string{""}},
 		"epoch-no-shards":    {Epoch: 4},
+		"epoch-zero":         {Shards: []string{"h:1"}, Routes: []Route{{"s", "h:1"}}},
 		"duplicate-session":  {Epoch: 1, Shards: []string{"h:1"}, Routes: []Route{{"s", "h:1"}, {"s", "h:1"}}},
 		"empty-route-fields": {Epoch: 1, Shards: []string{"h:1"}, Routes: []Route{{"", ""}}},
 	}
 	for name, g := range cases {
-		if _, err := DecodeRouterTable(name, frame(t, g)); !IsCorrupt(err) {
+		if _, err := DecodeRouterTable(name, frame(t, RouterVersion, &g)); !IsCorrupt(err) {
 			t.Errorf("%s: got %v, want *CorruptError", name, err)
 		}
+	}
+	v1 := struct{ Routes []Route }{Routes: []Route{{"old-a", "h:1"}, {"old-b", "h:2"}}}
+	if _, err := DecodeRouterTable("version-1", frame(t, 1, &v1)); !IsCorrupt(err) {
+		t.Errorf("version-1: got %v, want *CorruptError", err)
 	}
 }
 

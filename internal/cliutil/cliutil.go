@@ -7,7 +7,10 @@
 // live workload run (optionally teeing its probe stream to a trace file)
 // or a recorded trace. Each Pass streams the whole event stream into a
 // sink; replay passes read the file with O(batch) memory, so profiling a
-// recorded trace never materializes it.
+// recorded trace never materializes it. Analysis passes go through Run
+// (or Analyze), the one place that chooses between a parallel pipeline
+// and a sequential one behind a degradation ladder, and a tool ends with
+// Finish, which renders the governance reports and yields the exit error.
 package cliutil
 
 import (
@@ -54,22 +57,12 @@ func (v *workersValue) Set(s string) error {
 
 // WorkersFlag registers the shared -workers flag on fs. The default is
 // runtime.GOMAXPROCS(0); values below 1 are rejected at parse time (usage
-// on stderr, exit 2 under flag.ExitOnError). CheckWorkers remains for
-// values that arrive outside flag parsing.
+// on stderr, exit 2 under flag.ExitOnError).
 func WorkersFlag(fs *flag.FlagSet) *int {
 	v := workersValue(runtime.GOMAXPROCS(0))
 	fs.Var(&v, "workers",
 		"worker goroutines for profile construction (>= 1; profiles are identical for any count)")
 	return (*int)(&v)
-}
-
-// CheckWorkers validates a -workers value: the pipeline needs at least one
-// worker, and a silent fallback would hide typos like -workers -3.
-func CheckWorkers(n int) error {
-	if n < 1 {
-		return fmt.Errorf("-workers must be at least 1 (got %d)", n)
-	}
-	return nil
 }
 
 // listValue is a self-validating flag.Value for comma-separated lists
@@ -213,11 +206,13 @@ type Events struct {
 
 	lenient   bool
 	deadline  time.Duration
-	budget    time.Time      // absolute cutoff shared by all passes; set at the first pass
-	stats     tracefmt.Stats // reader stats from the most recent replay pass
-	memBudget int64          // memory budget shared by all governed passes
-	approx    bool           // start governed passes at the sketch-stride rung
-	govBudget *govern.Budget // lazily created parent budget; see GovernedPass
+	budget    time.Time        // absolute cutoff shared by all passes; set at the first pass
+	stats     tracefmt.Stats   // reader stats from the most recent replay pass
+	memBudget int64            // memory budget shared by all governed passes
+	approx    bool             // start governed passes at the sketch-stride rung
+	seed      uint64           // seeds the ladders' site sampling
+	govBudget *govern.Budget   // parent budget, created by the first governed pass
+	ladders   []*govern.Ladder // one per governed pass, in pass order; see Finish
 
 	workload string           // live mode: the selected workload name
 	wcfg     workloads.Config // live mode: its configuration
@@ -226,7 +221,8 @@ type Events struct {
 // Load resolves the trace flags into an event stream. With -replay it
 // opens the trace file (validating the header) and any workload selection
 // is ignored — the trace header names its workload. Otherwise it runs
-// workload under cfg, teeing the probe stream to -record if set.
+// workload under cfg, teeing the probe stream to -record if set. Either
+// way cfg.Seed also seeds the site sampling of every governed pass.
 func (t *TraceFlags) Load(workload string, cfg workloads.Config) (*Events, error) {
 	if t.Replay != "" {
 		if t.Record != "" {
@@ -240,6 +236,7 @@ func (t *TraceFlags) Load(workload string, cfg workloads.Config) (*Events, error
 		ev.deadline = t.Deadline
 		ev.memBudget = t.MemBudget
 		ev.approx = t.Approx
+		ev.seed = uint64(cfg.Seed)
 		return ev, nil
 	}
 	if workload == "" {
@@ -274,7 +271,7 @@ func (t *TraceFlags) Load(workload string, cfg workloads.Config) (*Events, error
 	return &Events{
 		Name: workload, Sites: m.StaticSites(), buf: buf,
 		deadline: t.Deadline, memBudget: t.MemBudget, approx: t.Approx,
-		workload: workload, wcfg: cfg,
+		seed: uint64(cfg.Seed), workload: workload, wcfg: cfg,
 	}, nil
 }
 
@@ -360,29 +357,34 @@ func (ev *Events) Pass(sink trace.Sink) (int, error) {
 	return n, nil
 }
 
-// Analysis is the shape every analysis pipeline shows a tool: a trace
-// sink that finalizes into a profile, and then reports the first fault of
-// its fan-out workers. whomp.Profiler and leap.Profiler satisfy it.
+// Analysis is the shape every analysis pipeline shows a tool: a
+// governable trace sink that finalizes into a profile, and then reports
+// the first fault of its fan-out workers. whomp.Profiler and
+// leap.Profiler satisfy it.
 type Analysis[P any] interface {
-	trace.Sink
+	govern.Mode
 	Profile(workload string) P
 	Err() error
 }
 
-// Analyze is the one way a tool profiles an event stream: one Pass into a,
-// then a.Profile, then a.Err. Faults from the drain and from the workers
-// (a *profiler.WorkerError) both go through deg, so a salvaged run still
+// Analyze is Run for an analysis: one pass into the pipeline build makes,
+// then Profile, then Err. Faults from the drain and from the workers (a
+// *profiler.WorkerError) both go through deg, so a salvaged run still
 // returns its partial profile and the tool exits 2. A hard pass error
-// comes back, with no profile, to abort the tool; a.Profile still runs
-// first, so the workers are joined either way.
-func Analyze[P any](ev *Events, deg *Degraded, a Analysis[P]) (P, error) {
-	_, perr := ev.Pass(a)
-	prof := a.Profile(ev.Name)
-	if err := deg.Check(perr); err != nil {
-		var none P
-		return none, err
+// comes back, with no profile, to abort the tool; Profile still runs
+// first, so the workers are joined either way. Below the sampled rung
+// there is no profile: Analyze returns the zero P and the rung.
+func Analyze[P any, A Analysis[P]](ev *Events, deg *Degraded, workers int, build func(workers int) A) (P, govern.Rung, error) {
+	var none P
+	a, rung, err := Run(ev, deg, workers, build)
+	if !rung.FullPipeline() {
+		return none, rung, err
 	}
-	return prof, deg.Check(a.Err())
+	prof := a.Profile(ev.Name)
+	if err != nil {
+		return none, rung, err
+	}
+	return prof, rung, deg.Check(a.Err())
 }
 
 // Stats reports the trace reader's counters from the most recent replay
@@ -390,20 +392,35 @@ func Analyze[P any](ev *Events, deg *Degraded, a Analysis[P]) (P, error) {
 // events, corruption incidents). Zero for live streams.
 func (ev *Events) Stats() tracefmt.Stats { return ev.stats }
 
-// Translate runs one pass through a fresh OMC and returns the
-// object-relative record stream plus the OMC. A salvaged pass (lenient
-// corruption skip, deadline overrun) still returns the partial record
-// stream alongside its error; only hard failures return nil.
-func (ev *Events) Translate() ([]profiler.Record, *omc.OMC, error) {
-	o := omc.New(ev.Sites)
+// translateMode is the pipeline behind Translate: OMC translation into a
+// record collector.
+type translateMode struct {
+	o   *omc.OMC
+	col *profiler.Collector
+	cdc *profiler.CDC
+}
+
+func newTranslateMode(sites map[trace.SiteID]string) *translateMode {
+	o := omc.New(sites)
 	col := &profiler.Collector{}
-	cdc := profiler.NewCDC(o, col)
-	_, err := ev.Pass(cdc)
-	if err != nil && !Salvaged(err) {
-		return nil, nil, err
+	return &translateMode{o: o, col: col, cdc: profiler.NewCDC(o, col)}
+}
+
+func (m *translateMode) Emit(e trace.Event) { m.cdc.Emit(e) }
+func (m *translateMode) Footprint() int64   { return m.o.Footprint() + m.col.Footprint() }
+
+// Translate runs one pass through a fresh OMC, via Run, and returns the
+// object-relative record stream plus the OMC. A salvaged pass (lenient
+// corruption skip, deadline overrun) still returns the partial stream,
+// its error remembered in deg. Records and OMC are nil after a hard error,
+// or when a governed pass ended below the sampled rung, which rung names.
+func (ev *Events) Translate(deg *Degraded) ([]profiler.Record, *omc.OMC, govern.Rung, error) {
+	m, rung, err := Run(ev, deg, 1, func(int) *translateMode { return newTranslateMode(ev.Sites) })
+	if err != nil || m == nil {
+		return nil, nil, rung, err
 	}
-	cdc.Finish()
-	return col.Records, o, err
+	m.cdc.Finish()
+	return m.col.Records, m.o, rung, nil
 }
 
 // Replayed reports whether the events come from a recorded trace file.
@@ -432,12 +449,12 @@ func Salvaged(err error) bool {
 // partial results still print before the tool exits with code 2. The idiom:
 //
 //	var deg Degraded
-//	_, err := ev.Pass(sink)
-//	if err := deg.Check(err); err != nil {
+//	prof, rung, err := Analyze(ev, &deg, workers, build)
+//	if err != nil {
 //		return err // hard failure, abort
 //	}
 //	... render (possibly partial) results ...
-//	return deg.Err() // nil, or the remembered salvaged error
+//	return ev.Finish(os.Stdout, &deg) // nil, or the first salvaged error
 type Degraded struct{ err error }
 
 // Check filters a pass error: hard errors come back to abort the tool;

@@ -18,27 +18,14 @@ import (
 	"ormprof/internal/workloads"
 )
 
-func TestCheckWorkers(t *testing.T) {
-	for _, n := range []int{1, 2, 64} {
-		if err := CheckWorkers(n); err != nil {
-			t.Errorf("CheckWorkers(%d) = %v, want nil", n, err)
-		}
-	}
-	for _, n := range []int{0, -1, -100} {
-		if err := CheckWorkers(n); err == nil {
-			t.Errorf("CheckWorkers(%d) accepted", n)
-		}
-	}
-}
-
 func TestWorkersFlagDefault(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	w := WorkersFlag(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckWorkers(*w); err != nil {
-		t.Errorf("default -workers value %d rejected: %v", *w, err)
+	if *w < 1 {
+		t.Errorf("default -workers value %d is below 1", *w)
 	}
 }
 
@@ -118,13 +105,14 @@ func TestLiveRecordReplayAgree(t *testing.T) {
 	}
 
 	// Translations agree record-for-record.
-	liveRecs, _, err := live.Translate()
+	var deg Degraded
+	liveRecs, _, _, err := live.Translate(&deg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repRecs, _, err := rep.Translate()
-	if err != nil {
-		t.Fatal(err)
+	repRecs, _, _, err := rep.Translate(&deg)
+	if err != nil || deg.Err() != nil {
+		t.Fatal(err, deg.Err())
 	}
 	if len(liveRecs) != len(repRecs) {
 		t.Fatalf("translate: live %d records, replay %d", len(liveRecs), len(repRecs))
@@ -365,12 +353,12 @@ func TestAnalyzeReportsWorkerPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var clean Degraded
-	if _, err := Analyze(ev, &clean, leap.NewParallel(ev.Sites, 0, 4)); err != nil || clean.Err() != nil {
+	if _, _, err := Analyze(ev, &clean, 4, func(w int) *leap.Profiler { return leap.NewParallel(ev.Sites, 0, w) }); err != nil || clean.Err() != nil {
 		t.Fatalf("clean parallel run: err %v, degraded %v", err, clean.Err())
 	}
 
 	var deg Degraded
-	routed, err := Analyze(ev, &deg, faultinject.NewCrashingLEAP(ev.Sites, 4, 10))
+	routed, _, err := Analyze(ev, &deg, 4, func(w int) *faultinject.CrashingLEAP { return faultinject.NewCrashingLEAP(ev.Sites, w, 10) })
 	if err != nil {
 		t.Fatalf("worker panic treated as a hard error: %v", err)
 	}

@@ -5,9 +5,6 @@ import (
 	"io"
 
 	"ormprof/internal/govern"
-	"ormprof/internal/omc"
-	"ormprof/internal/profiler"
-	"ormprof/internal/trace"
 )
 
 // sizeFlag is a self-validating flag.Value for byte-size flags
@@ -44,36 +41,45 @@ func SizeFlag(fs *flag.FlagSet, name, usage string) *int64 {
 	return n
 }
 
-// Governed reports whether -mem-budget or -approx was set: governed tools
-// should use the sequential ladder path (trip points are deterministic
-// only on a sequential pipeline) and render the governance report.
-func (ev *Events) Governed() bool { return ev.memBudget > 0 || ev.approx }
-
-// MemBudget reports the configured memory budget (0 = unlimited).
-func (ev *Events) MemBudget() int64 { return ev.memBudget }
-
-// Approx reports whether -approx was set: governed passes start at the
-// sketch-stride rung and the report carries error bounds instead of exact
-// profiles.
-func (ev *Events) Approx() bool { return ev.approx }
-
-// GovernedPass streams one complete pass through a degradation ladder
-// built around full. All governed passes of the invocation share one
-// parent budget — like -deadline, -mem-budget bounds the tool's total
-// footprint, not each pass's — so a second pass's structures count
-// against what the first pass still holds live.
+// Run is the one way a tool streams a pass of the event stream into an
+// analysis pipeline, and the one place that decides how the pass runs:
 //
-// The returned error is the pass error (corruption, deadline), not the
-// degradation: check ladder.Err() separately, typically feeding both
-// through Degraded.Check so partial output still renders before exit 2.
-func (ev *Events) GovernedPass(seed uint64, full func() govern.Mode) (*govern.Ladder, int, error) {
+//   - ungoverned, the pipeline is build(workers), fanned out as wide as
+//     -workers asks, and sees the stream directly;
+//   - governed (-mem-budget or -approx), it is build(1), the sequential
+//     pipeline, behind a degradation ladder on the invocation's shared
+//     budget. Trip points are a pure function of (stream, budget, seed)
+//     only on a sequential pipeline, so governed output is identical for
+//     every -workers setting. All governed passes share one parent
+//     budget, so a later pass's structures count against what earlier
+//     passes still hold live. Finish writes each ladder's report.
+//
+// Run returns the live pipeline and the rung its pass ended on (RungFull
+// when ungoverned). Below the sampled rung the pipeline's output is gone
+// and Run returns the zero M — except that a *stride.Ideal pass ending on
+// the stride-only rung gets that rung's own lossless stride profiler,
+// which is the same analysis. The pass error goes through deg: a salvaged
+// one is remembered, a hard one comes back, together with the pipeline so
+// the caller can still join its workers.
+func Run[M govern.Mode](ev *Events, deg *Degraded, workers int, build func(workers int) M) (M, govern.Rung, error) {
+	m, rung, _, err := run(ev, deg, workers, build)
+	return m, rung, err
+}
+
+// run is Run that also reports how many events the pass delivered.
+func run[M govern.Mode](ev *Events, deg *Degraded, workers int, build func(workers int) M) (M, govern.Rung, int, error) {
+	if ev.memBudget == 0 && !ev.approx {
+		m := build(workers)
+		n, err := ev.Pass(m)
+		return m, govern.RungFull, n, deg.Check(err)
+	}
 	if ev.govBudget == nil {
 		ev.govBudget = govern.NewBudget(ev.memBudget)
 	}
 	cfg := govern.Config{
 		Budget: ev.govBudget.Sub(0),
-		Seed:   seed,
-		Full:   full,
+		Seed:   ev.seed,
+		Full:   func() govern.Mode { return build(1) },
 	}
 	if ev.approx {
 		// -approx: skip the exact rungs entirely. The ladder starts on the
@@ -82,57 +88,29 @@ func (ev *Events) GovernedPass(seed uint64, full func() govern.Mode) (*govern.La
 		cfg.StartRung = govern.RungSketchStride
 	}
 	lad := govern.NewLadder(cfg)
+	ev.ladders = append(ev.ladders, lad)
 	n, err := ev.Pass(lad)
-	return lad, n, err
-}
-
-// translateMode is the govern.Mode for tools whose pipeline starts from a
-// materialized object-relative record stream: OMC translation plus a
-// record collector.
-type translateMode struct {
-	o   *omc.OMC
-	col *profiler.Collector
-	cdc *profiler.CDC
-}
-
-func newTranslateMode(sites map[trace.SiteID]string) *translateMode {
-	o := omc.New(sites)
-	col := &profiler.Collector{}
-	return &translateMode{o: o, col: col, cdc: profiler.NewCDC(o, col)}
-}
-
-func (m *translateMode) Emit(e trace.Event) { m.cdc.Emit(e) }
-func (m *translateMode) Footprint() int64   { return m.o.Footprint() + m.col.Footprint() }
-
-// TranslateGoverned is Translate under a memory budget: it returns the
-// ladder alongside the records. If the budget forced the ladder below the
-// sampled rung, the record stream is gone — records and OMC come back nil
-// and the caller renders the ladder's own report instead. The error is
-// the pass error; degradation is ladder.Err().
-func (ev *Events) TranslateGoverned(seed uint64) (*govern.Ladder, []profiler.Record, *omc.OMC, error) {
-	lad, _, err := ev.GovernedPass(seed, func() govern.Mode { return newTranslateMode(ev.Sites) })
-	if err != nil && !Salvaged(err) {
-		return nil, nil, nil, err
+	m, _ := lad.FullMode().(M)
+	if s := lad.StrideProfiler(); s != nil {
+		m, _ = any(s).(M)
 	}
-	if m, ok := lad.FullMode().(*translateMode); ok {
-		m.cdc.Finish()
-		return lad, m.col.Records, m.o, err
-	}
-	return lad, nil, nil, err
+	return m, lad.Rung(), n, deg.Check(err)
 }
 
-// WriteGovernance renders each ladder's governance report to w — the
-// standard tail section of a governed tool's output. Reports are
-// deterministic, so governed output remains byte-comparable across
-// worker counts and restarts.
-func WriteGovernance(w io.Writer, lads ...*govern.Ladder) error {
-	for _, lad := range lads {
-		if lad == nil {
-			continue
-		}
+// Finish ends a tool's run: it writes the governance report of every
+// governed pass to w in pass order, folds each ladder's degradation into
+// deg, and returns deg.Err() — nil, or the first salvaged error, pass
+// errors before ladder degradations. Ungoverned runs write nothing here.
+// Reports are deterministic, so governed output stays byte-comparable
+// across worker counts and restarts.
+func (ev *Events) Finish(w io.Writer, deg *Degraded) error {
+	for _, lad := range ev.ladders {
 		if err := lad.WriteReport(w); err != nil {
 			return err
 		}
 	}
-	return nil
+	for _, lad := range ev.ladders {
+		deg.Check(lad.Err()) //nolint:errcheck // a DegradedError is always salvaged
+	}
+	return deg.Err()
 }

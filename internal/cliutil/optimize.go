@@ -47,7 +47,7 @@ func (f fanout) Finish() {
 	}
 }
 
-// optimizeMode is translateMode plus the streaming layout planner: the
+// optimizeMode is translateMode plus the streaming layout planner: a
 // governed optimize pass accounts the planner's histograms and first-touch
 // table alongside the OMC and the record collector, so a tight budget
 // degrades plan derivation through the ladder instead of OOMing.
@@ -72,39 +72,26 @@ func (m *optimizeMode) Footprint() int64 {
 
 // Derived is the output of the shared plan-derivation pass: the
 // materialized record stream, the object table, and the streaming planner
-// that watched the same pass. On a governed run that degraded below the
-// full rung the stream is gone — OMC is nil and only Ladder renders.
+// that watched the same pass.
 type Derived struct {
-	Ladder  *govern.Ladder // non-nil on governed runs
 	Records []profiler.Record
 	OMC     *omc.OMC
 	Planner *layout.Planner
 	Events  int
 }
 
-// DeriveLayout runs one translate pass with the streaming layout planner
-// riding the record fan-out. The returned error follows the Pass
-// convention: salvaged errors come back alongside partial results.
-func (ev *Events) DeriveLayout(seed uint64) (*Derived, error) {
-	if ev.Governed() {
-		lad, n, err := ev.GovernedPass(seed, func() govern.Mode { return newOptimizeMode(ev.Sites) })
-		if err != nil && !Salvaged(err) {
-			return nil, err
-		}
-		d := &Derived{Ladder: lad, Events: n}
-		if m, ok := lad.FullMode().(*optimizeMode); ok {
-			m.cdc.Finish()
-			d.Records, d.OMC, d.Planner = m.col.Records, m.o, m.planner
-		}
-		return d, err
-	}
-	m := newOptimizeMode(ev.Sites)
-	n, err := ev.Pass(m)
-	if err != nil && !Salvaged(err) {
-		return nil, err
+// DeriveLayout runs one translate pass, via Run, with the streaming layout
+// planner riding the record fan-out. Errors follow Run: a salvaged one is
+// remembered in deg alongside the partial result, a hard one comes back
+// with no result. The result is also nil when a governed pass ended below
+// the sampled rung, which rung names.
+func (ev *Events) DeriveLayout(deg *Degraded) (*Derived, govern.Rung, error) {
+	m, rung, n, err := run(ev, deg, 1, func(int) *optimizeMode { return newOptimizeMode(ev.Sites) })
+	if err != nil || m == nil {
+		return nil, rung, err
 	}
 	m.cdc.Finish()
-	return &Derived{Records: m.col.Records, OMC: m.o, Planner: m.planner, Events: n}, err
+	return &Derived{Records: m.col.Records, OMC: m.o, Planner: m.planner, Events: n}, rung, nil
 }
 
 // OptimizeConfig parameterizes the optimize pipeline.
@@ -112,8 +99,6 @@ type OptimizeConfig struct {
 	// Workers parallelizes the LEAP prefetch-analysis pass; results are
 	// identical for any count.
 	Workers int
-	// Seed drives the governed ladder's deterministic site sampling.
-	Seed uint64
 	// Lookahead is the prefetch lookahead distance in strides
 	// (0 = prefetch.DefaultLookahead).
 	Lookahead int64
@@ -155,9 +140,9 @@ type OptimizeResult struct {
 	EvalNote string
 	EvalErr  error
 
-	// Ladders holds the governance ladders of the governed passes, for
-	// WriteGovernance and exit-code accounting.
-	Ladders []*govern.Ladder
+	// Rung is where the plan-derivation pass ended: RungFull on an
+	// ungoverned run; below object-sampled there is no Plan.
+	Rung govern.Rung
 }
 
 // optLevels is the evaluation hierarchy: L1D backed by L2, as in
@@ -184,7 +169,7 @@ func evalFootprint(levels []cachesim.Config) int64 {
 // collect prefetch rules from a LEAP pass, serialize the ORMPLAN, and
 // measure before/after miss rates per hierarchy level. The returned error
 // follows the Pass convention — salvaged errors accompany partial results;
-// callers feed it (and the result's ladders) through Degraded.
+// callers feed it through Degraded and end with Finish.
 func (ev *Events) Optimize(cfg OptimizeConfig) (*OptimizeResult, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -192,38 +177,25 @@ func (ev *Events) Optimize(cfg OptimizeConfig) (*OptimizeResult, error) {
 	var deg Degraded
 
 	// Pass 1: translate + streaming plan derivation.
-	d, err := ev.DeriveLayout(cfg.Seed)
-	if err := deg.Check(err); err != nil {
+	d, rung, err := ev.DeriveLayout(&deg)
+	if err != nil {
 		return nil, err
 	}
-	res := &OptimizeResult{Name: ev.Name, Events: d.Events, Live: !ev.Replayed()}
-	if d.Ladder != nil {
-		res.Ladders = append(res.Ladders, d.Ladder)
-	}
-	if d.OMC == nil {
-		return res, deg.Err() // degraded below full: no plan, governance only
+	res := &OptimizeResult{Name: ev.Name, Live: !ev.Replayed(), Rung: rung}
+	if d == nil {
+		return res, deg.Err() // degraded below sampled: no plan, governance only
 	}
 	recs, o, planner := d.Records, d.OMC, d.Planner
-	res.Accesses = len(recs)
+	res.Events, res.Accesses = d.Events, len(recs)
 
 	// Pass 2: LEAP stride analysis for the plan's prefetch rules.
 	var rules []plan.PrefetchRule
-	lineBytes := int64(optLevels[0].LineBytes)
-	if ev.Governed() {
-		lad, _, err := ev.GovernedPass(cfg.Seed, func() govern.Mode { return leap.New(ev.Sites, 0) })
-		if err := deg.Check(err); err != nil {
-			return nil, err
-		}
-		res.Ladders = append(res.Ladders, lad)
-		if lp, ok := lad.FullMode().(*leap.Profiler); ok {
-			rules = prefetch.BuildPlan(lp.Profile(ev.Name), lineBytes, cfg.Lookahead).Rules()
-		}
-	} else {
-		lprof, err := Analyze(ev, &deg, leap.NewParallel(ev.Sites, 0, cfg.Workers))
-		if err != nil {
-			return nil, err
-		}
-		rules = prefetch.BuildPlan(lprof, lineBytes, cfg.Lookahead).Rules()
+	lprof, _, err := Analyze(ev, &deg, cfg.Workers, func(w int) *leap.Profiler { return leap.NewParallel(ev.Sites, 0, w) })
+	if err != nil {
+		return nil, err
+	}
+	if lprof != nil {
+		rules = prefetch.BuildPlan(lprof, int64(optLevels[0].LineBytes), cfg.Lookahead).Rules()
 	}
 
 	// Assemble and serialize the plan.
@@ -245,16 +217,14 @@ func (ev *Events) Optimize(cfg OptimizeConfig) (*OptimizeResult, error) {
 		res.PlanPath = cfg.PlanPath
 	}
 
-	// Evaluation phase: two hierarchies (before/after). Under a memory
-	// budget their worst-case footprint is charged up front — the geometry
-	// bounds it — degrading deterministically: drop the outer level, then
-	// skip evaluation entirely, rather than OOM.
+	// Evaluation phase: two hierarchies (before/after). On a governed run
+	// (its passes created the shared budget) their worst-case footprint is
+	// charged up front — the geometry bounds it — degrading
+	// deterministically: drop the outer level, then skip evaluation
+	// entirely, rather than OOM.
 	levels, names := optLevels, optLevelNames
 	var charged int64
-	if ev.Governed() {
-		if ev.govBudget == nil {
-			ev.govBudget = govern.NewBudget(ev.memBudget)
-		}
+	if ev.govBudget != nil {
 		for {
 			need := 2 * evalFootprint(levels)
 			ev.govBudget.Add(need)
@@ -329,15 +299,11 @@ func (r *OptimizeResult) DeltaTable() *report.Table {
 }
 
 // WriteText renders the full human-readable report (governance excluded:
-// callers append it with WriteGovernance, keeping the tail section uniform
+// callers append it with Events.Finish, keeping the tail section uniform
 // across tools).
 func (r *OptimizeResult) WriteText(w io.Writer) error {
 	if r.Plan == nil {
-		rung := "unknown"
-		if len(r.Ladders) > 0 {
-			rung = r.Ladders[0].Rung().String()
-		}
-		_, err := fmt.Fprintf(w, "workload %s: optimization unavailable (degraded to %s)\n", r.Name, rung)
+		_, err := fmt.Fprintf(w, "workload %s: optimization unavailable (degraded to %s)\n", r.Name, r.Rung)
 		return err
 	}
 	fmt.Fprintf(w, "workload %s: %d events, %d accesses\n", r.Name, r.Events, r.Accesses)

@@ -170,6 +170,10 @@ func NewCrashingLEAP(sites map[trace.SiteID]string, workers int, n uint64) *Cras
 // Emit implements trace.Sink.
 func (c *CrashingLEAP) Emit(e trace.Event) { c.cdc.Emit(e) }
 
+// Footprint implements govern.Mode. The crashing pipeline is never run
+// under a memory budget, so it accounts nothing.
+func (c *CrashingLEAP) Footprint() int64 { return 0 }
+
 // Profile joins the workers and reports how many records were routed.
 func (c *CrashingLEAP) Profile(string) uint64 {
 	c.cdc.Finish()

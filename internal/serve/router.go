@@ -167,17 +167,15 @@ func NewRouter(ln net.Listener, cfg RouterConfig) (*Router, error) {
 		st, err := checkpoint.LoadRouterTable(c.StatePath)
 		switch {
 		case err == nil:
-			if st.Epoch > 0 {
-				ng, rerr := newRingAt(st.Epoch, st.Shards)
-				if rerr != nil {
-					return nil, fmt.Errorf("serve: router state: %w", rerr)
+			ng, rerr := newRingAt(st.Epoch, st.Shards)
+			if rerr != nil {
+				return nil, fmt.Errorf("serve: router state: %w", rerr)
+			}
+			if ng.epoch >= rg.epoch {
+				if !sameShards(ng.addrs, rg.addrs) {
+					c.Logf("router: durable table epoch %d overrides configured shard list", ng.epoch)
 				}
-				if ng.epoch >= rg.epoch {
-					if !sameShards(ng.addrs, rg.addrs) {
-						c.Logf("router: durable table epoch %d overrides configured shard list", ng.epoch)
-					}
-					r.ring = ng
-				}
+				r.ring = ng
 			}
 			valid := make(map[string]bool, len(r.ring.addrs))
 			for _, a := range r.ring.addrs {
@@ -213,7 +211,7 @@ func NewRouter(ln net.Listener, cfg RouterConfig) (*Router, error) {
 			c.Logf("router: startup pull from %s: %v", peer, perr)
 			continue
 		}
-		if st.Epoch > r.Epoch() || (st.Epoch == r.Epoch() && st.Epoch > 0) {
+		if st.Epoch >= r.Epoch() {
 			if aerr := r.ApplyTable(st); aerr != nil {
 				c.Logf("router: apply table from %s: %v", peer, aerr)
 			} else {
@@ -469,11 +467,11 @@ func (r *Router) installLocked(ng *ring) {
 // ApplyTable installs a replicated full state: ring, routes, placements.
 // A table older than the local epoch is refused with *StaleEpochError —
 // the stale-replica guard. Equal epochs apply (routes evolve within an
-// epoch); the legacy epoch-0 form carries no topology and is not
-// applicable.
+// epoch). A decoded table never has epoch 0, but a state built in memory
+// can, and one carries no topology to apply.
 func (r *Router) ApplyTable(st *checkpoint.RouterState) error {
 	if st.Epoch == 0 {
-		return fmt.Errorf("serve: cannot apply a legacy epoch-0 table")
+		return fmt.Errorf("serve: cannot apply an epoch-0 table")
 	}
 	ng, err := newRingAt(st.Epoch, st.Shards)
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"ormprof/internal/trace"
@@ -96,13 +94,14 @@ func FuzzReaderResync(f *testing.F) {
 	}
 	mid := len(valid) / 2
 	f.Add(append(append(append([]byte(nil), valid[:mid]...), "JUNKJUNK"...), valid[mid:]...))
-	// A legacy v2 trace (and a damaged one) exercise the structural scan.
-	if v2, err := os.ReadFile(filepath.Join("testdata", "golden_v2.ormtrace")); err == nil {
-		f.Add(v2)
-		bad := bytes.Clone(v2)
-		bad[len(bad)/2] ^= 0xff
-		f.Add(bad)
-	}
+	// A legacy v2 version byte, on an intact and on a damaged body, is
+	// rejected at the header.
+	v2 := bytes.Clone(valid)
+	v2[len(Magic)] = 2
+	f.Add(v2)
+	bad := bytes.Clone(v2)
+	bad[len(bad)/2] ^= 0xff
+	f.Add(bad)
 	f.Add([]byte{})
 	f.Add(append([]byte(Magic), Version, 0))
 

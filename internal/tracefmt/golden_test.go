@@ -70,40 +70,17 @@ func TestGoldenFile(t *testing.T) {
 	}
 
 	// And the committed fixture must still decode to the original events.
-	decodeGolden(t, want, Version)
+	decodeGolden(t, want)
 }
 
-// TestGoldenFileV2 pins backward compatibility: the committed checksum-less
-// v2 fixture must keep decoding even though we no longer write that layout.
-func TestGoldenFileV2(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_v2.ormtrace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodeGolden(t, want, VersionNoChecksum)
-
-	// The legacy layout must also survive a lenient-mode pass unscathed.
-	r, err := NewReader(bytes.NewReader(want), WithLenient())
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := trace.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != len(goldenEvents()) || r.Stats().Damaged() {
-		t.Errorf("lenient v2 decode: %d events, stats %+v", len(events), r.Stats())
-	}
-}
-
-func decodeGolden(t *testing.T, data []byte, version int) {
+func decodeGolden(t *testing.T, data []byte) {
 	t.Helper()
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Version() != version {
-		t.Errorf("Version = %d, want %d", r.Version(), version)
+	if r.Version() != Version {
+		t.Errorf("Version = %d, want %d", r.Version(), Version)
 	}
 	if r.Name() != "golden" {
 		t.Errorf("Name = %q, want golden", r.Name())

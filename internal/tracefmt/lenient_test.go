@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"ormprof/internal/trace"
@@ -227,42 +225,6 @@ func TestLenientMultipleCorruptFrames(t *testing.T) {
 	}
 	if stats.SkippedEvents != int64(len(victims)*batch) {
 		t.Errorf("SkippedEvents = %d, want %d", stats.SkippedEvents, len(victims)*batch)
-	}
-}
-
-// TestLenientV2Resync: a corrupt byte in a checksum-less legacy trace is
-// survivable too, via the structural scan.
-func TestLenientV2Resync(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_v2.ormtrace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The golden v2 trace holds 10 events in frames of 4+4+2. Make the
-	// second frame's payload undecodable (0x7f is not a valid event kind).
-	bad := bytes.Clone(data)
-	idx := bytes.IndexByte(bad, 0x17) // second frame's length byte (23-byte payload)
-	if idx < 0 {
-		t.Fatal("fixture layout changed; update this test")
-	}
-	bad[idx+2] = 0x7f
-
-	got, stats, err := readAllLenient(t, bad)
-	var ce *CorruptionError
-	if !errors.As(err, &ce) {
-		t.Fatalf("terminal error = %v, want *CorruptionError", err)
-	}
-	if len(got) == 0 || len(got) >= 10 {
-		t.Fatalf("delivered %d events, want partial salvage (0 < n < 10)", len(got))
-	}
-	// The first frame must survive untouched.
-	want := goldenEvents()
-	for i := 0; i < 4 && i < len(got); i++ {
-		if got[i] != want[i] {
-			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if !stats.Damaged() {
-		t.Errorf("stats not damaged: %+v", stats)
 	}
 }
 

@@ -28,15 +28,13 @@ import (
 //     checksum-failed frame is fatal. The error is sticky; no further
 //     events are delivered.
 //   - lenient (WithLenient): a damaged frame is abandoned and the reader
-//     resynchronizes to the next valid frame boundary — for v3 traces by
-//     scanning for the frame sync marker and verifying the CRC32C, for
-//     legacy v2 traces by a structural scan that fully decodes each
-//     candidate frame. Events keep flowing; only the damaged frame's
-//     records are lost. Skips are accounted in Stats, and once the input
-//     is exhausted Next returns a *CorruptionError (instead of io.EOF)
-//     summarizing the damage — the salvage signal that
-//     trace.DrainContext hands back from every cliutil.Events pass of a
-//     tool run with -lenient.
+//     resynchronizes to the next valid frame boundary by scanning for the
+//     frame sync marker and verifying the CRC32C. Events keep flowing;
+//     only the damaged frame's records are lost. Skips are accounted in
+//     Stats, and once the input is exhausted Next returns a
+//     *CorruptionError (instead of io.EOF) summarizing the damage — the
+//     salvage signal that trace.DrainContext hands back from every
+//     cliutil.Events pass of a tool run with -lenient.
 //
 // Header damage is fatal in both modes: without the version byte and the
 // site table there is no way to interpret, or correctly label, whatever
@@ -102,7 +100,7 @@ func (t *Reader) readHeader() error {
 	if err != nil {
 		return badf("version: %v", err)
 	}
-	if ver != Version && ver != VersionNoChecksum {
+	if ver != Version {
 		return badf("unsupported version %d (want %d)", ver, Version)
 	}
 	t.ver = ver
@@ -162,7 +160,7 @@ func (t *Reader) Sites() map[trace.SiteID]string { return t.sites }
 // Events reports how many events have been decoded so far.
 func (t *Reader) Events() int64 { return t.stats.Events }
 
-// Version reports the format version of the trace being read (2 or 3).
+// Version reports the format version of the trace being read.
 func (t *Reader) Version() int { return int(t.ver) }
 
 // Stats returns the reader's delivery and damage accounting so far. In
@@ -351,9 +349,9 @@ func (t *Reader) next() (trace.Event, error) {
 		if !t.lenient {
 			return trace.Event{}, err
 		}
-		// Lenient: a frame that validated still failed to decode — only
-		// possible for checksum-less v2 traces raced mid-scan or a forged
-		// v3 checksum. Abandon the rest of the frame and resynchronize.
+		// Lenient: a frame whose checksum verified still failed to decode —
+		// only possible with a forged checksum. Abandon the rest of the
+		// frame and resynchronize.
 		t.recordCorruption(err, int64(t.cur.left))
 		t.stats.SkippedFrames++
 		t.inFrame = false
@@ -372,40 +370,12 @@ func (t *Reader) nextFrame() error {
 	if t.lenient {
 		return t.lenientNextFrame()
 	}
-	if t.ver == VersionNoChecksum {
-		return t.strictNextFrameV2()
-	}
-	return t.strictNextFrameV3()
+	return t.strictNextFrame()
 }
 
-// strictNextFrameV2 loads and validates the next checksum-less legacy
-// frame. Returns io.EOF on a clean end of trace.
-func (t *Reader) strictNextFrameV2() error {
-	pl, err := binary.ReadUvarint(t.br)
-	if err == io.EOF {
-		return io.EOF // clean end: trace ends on a frame boundary
-	}
-	if err != nil {
-		return badf("frame length: %v", err)
-	}
-	if pl == 0 || pl > MaxFramePayload {
-		return badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
-	}
-	t.payload = grow(t.payload, int(pl))
-	if _, err := io.ReadFull(t.br, t.payload); err != nil {
-		return badf("frame body: %v", err)
-	}
-	if err := t.cur.start(t.payload); err != nil {
-		return err
-	}
-	t.inFrame = true
-	t.stats.Frames++
-	return nil
-}
-
-// strictNextFrameV3 loads the next checksummed frame: sync marker, payload
+// strictNextFrame loads the next checksummed frame: sync marker, payload
 // length, CRC32C, payload. Returns io.EOF on a clean end of trace.
-func (t *Reader) strictNextFrameV3() error {
+func (t *Reader) strictNextFrame() error {
 	magic := t.scratch[:len(FrameMagic)]
 	if _, err := io.ReadFull(t.br, magic); err != nil {
 		if err == io.EOF {
@@ -527,23 +497,6 @@ func (t *Reader) endOfTrace() error {
 // (0 when the count itself is unreadable).
 func (t *Reader) tryFrame() (int64, error) {
 	w := t.pend[t.pendOff:]
-	if t.ver == VersionNoChecksum {
-		return t.tryFrameV2(w)
-	}
-	return t.tryFrameV3(w)
-}
-
-// claimedCount best-effort-parses a damaged payload's record count for the
-// skipped-events accounting.
-func claimedCount(payload []byte) int64 {
-	cnt, n := binary.Uvarint(payload)
-	if n > 0 && cnt > 0 && cnt <= uint64(len(payload)) {
-		return int64(cnt)
-	}
-	return 0
-}
-
-func (t *Reader) tryFrameV3(w []byte) (int64, error) {
 	if len(w) < len(FrameMagic) {
 		return 0, errNeedMore
 	}
@@ -580,62 +533,20 @@ func (t *Reader) tryFrameV3(w []byte) (int64, error) {
 	return 0, nil
 }
 
-func (t *Reader) tryFrameV2(w []byte) (int64, error) {
-	pl, n := binary.Uvarint(w)
-	if n == 0 {
-		if len(w) < binary.MaxVarintLen64 {
-			return 0, errNeedMore
-		}
-		return 0, badf("frame length: malformed varint")
+// claimedCount best-effort-parses a damaged payload's record count for the
+// skipped-events accounting.
+func claimedCount(payload []byte) int64 {
+	cnt, n := binary.Uvarint(payload)
+	if n > 0 && cnt > 0 && cnt <= uint64(len(payload)) {
+		return int64(cnt)
 	}
-	if n < 0 || pl == 0 || pl > MaxFramePayload {
-		return 0, badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
-	}
-	if uint64(len(w)-n) < pl {
-		return 0, errNeedMore
-	}
-	payload := w[n : n+int(pl)]
-	// A checksum-less candidate proves itself structurally: every record
-	// must decode and consume the payload exactly.
-	if err := validatePayload(payload); err != nil {
-		return claimedCount(payload), err
-	}
-	t.payload = append(t.payload[:0], payload...)
-	if err := t.cur.start(t.payload); err != nil {
-		return claimedCount(payload), err
-	}
-	t.pendOff += n + int(pl)
-	t.inFrame = true
-	t.stats.Frames++
-	return 0, nil
+	return 0
 }
 
-// validatePayload decodes every record of a candidate v2 frame payload —
-// the structural stand-in for a checksum when resynchronizing a
-// checksum-less trace.
-func validatePayload(payload []byte) error {
-	var d frameDecoder
-	if err := d.start(payload); err != nil {
-		return err
-	}
-	for d.left > 0 {
-		if _, err := d.next(0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// skipForward advances the scan past an offset where no frame starts. For
-// checksummed traces it jumps straight to the next sync-marker candidate;
-// for legacy traces every offset is a candidate, so it steps one byte.
+// skipForward advances the scan past an offset where no frame starts,
+// straight to the next sync-marker candidate.
 func (t *Reader) skipForward() {
 	w := t.pend[t.pendOff:]
-	if t.ver == VersionNoChecksum {
-		t.pendOff++
-		t.stats.SkippedBytes++
-		return
-	}
 	skip := 1
 	if i := bytes.Index(w[1:], []byte(FrameMagic)); i >= 0 {
 		skip = 1 + i

@@ -17,7 +17,7 @@
 //   - compact: fields are LEB128 varints, times and addresses are
 //     delta-encoded within each frame, so strided access traces cost a few
 //     bytes per event;
-//   - damage-tolerant: every v3 frame starts with a sync marker and carries
+//   - damage-tolerant: every frame starts with a sync marker and carries
 //     a CRC32C of its payload, so a reader in lenient mode (WithLenient)
 //     can detect a corrupt, truncated, or overwritten frame, scan forward
 //     to the next valid frame boundary, and keep delivering events — losing
@@ -36,21 +36,15 @@ import (
 // Magic identifies a probe-trace file.
 const Magic = "ORMTRACE"
 
-// Version is the current format version. Version 3 added the per-frame
-// sync marker and CRC32C checksum that make corruption detection and
-// resynchronization possible. Version 2 (checksum-less frames) is still
-// read; version 1 was the unframed encoding with implicit time stamps
-// (pre-streaming layer) and is no longer written or read. Any change to
-// the byte layout below must bump this constant — the golden-file tests
-// pin both readable layouts.
+// Version is the format version, the only one written or read. Version 3
+// added the per-frame sync marker and CRC32C checksum that make
+// corruption detection and resynchronization possible; the checksum-less
+// version 2 and the unframed version 1 are rejected. Any change to the
+// byte layout below must bump this constant — the golden-file test pins
+// the layout.
 const Version = 3
 
-// VersionNoChecksum is the newest readable legacy version: v2 frames have
-// no sync marker and no checksum, so lenient-mode resynchronization falls
-// back to a structural scan (see Reader).
-const VersionNoChecksum = 2
-
-// FrameMagic is the 4-byte sync marker that opens every v3 frame. The
+// FrameMagic is the 4-byte sync marker that opens every frame. The
 // lenient reader scans for it to find the next frame boundary after
 // corruption; the leading 0xF7 byte never occurs in ASCII metadata and
 // keeps accidental matches rare (the CRC rejects the rest).
@@ -91,7 +85,7 @@ const storeFlag = 0x80
 // mode — what it had to skip. In strict mode the skip counters stay zero
 // (the first corruption is fatal).
 type Stats struct {
-	// Version is the format version of the trace being read (2 or 3).
+	// Version is the format version of the trace being read.
 	Version int
 	// Frames counts frames whose payload validated and started delivering.
 	Frames int64

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ormprof/internal/trace"
@@ -211,16 +212,12 @@ func TestVersionRejected(t *testing.T) {
 			t.Errorf("version %d: err = %v, want ErrBadTrace", ver, err)
 		}
 	}
-	// The legacy version byte is accepted at the header (frame layouts
-	// differ, so decoding the body is the v2 golden test's job).
+	// The checksum-less legacy version 2 is no longer read either.
 	bad := bytes.Clone(data)
-	bad[len(Magic)] = VersionNoChecksum
-	r, err := NewReader(bytes.NewReader(bad))
-	if err != nil {
-		t.Fatalf("version %d header rejected: %v", VersionNoChecksum, err)
-	}
-	if r.Version() != VersionNoChecksum {
-		t.Errorf("Version = %d, want %d", r.Version(), VersionNoChecksum)
+	bad[len(Magic)] = 2
+	_, err := NewReader(bytes.NewReader(bad))
+	if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Errorf("version 2: err = %v, want ErrBadTrace (unsupported version 2)", err)
 	}
 }
 

@@ -46,10 +46,10 @@ func recordWorkload(t testing.TB, name string) (*trace.Buffer, map[trace.SiteID]
 
 // analyze runs one analysis over ev through the tools' entry point and
 // fails the test on any fault, salvaged or not.
-func analyze[P any](t testing.TB, ev *cliutil.Events, a cliutil.Analysis[P]) P {
+func analyze[P any, A cliutil.Analysis[P]](t testing.TB, ev *cliutil.Events, workers int, build func(workers int) A) P {
 	t.Helper()
 	var deg cliutil.Degraded
-	prof, err := cliutil.Analyze(ev, &deg, a)
+	prof, _, err := cliutil.Analyze(ev, &deg, workers, build)
 	if err == nil {
 		err = deg.Err()
 	}
@@ -80,7 +80,7 @@ func TestReplayProfilesByteIdentical(t *testing.T) {
 				}
 
 				var replayW bytes.Buffer
-				if _, err := analyze(t, ev, whomp.NewParallel(ev.Sites, workers)).WriteTo(&replayW); err != nil {
+				if _, err := analyze(t, ev, workers, func(w int) *whomp.Profiler { return whomp.NewParallel(ev.Sites, w) }).WriteTo(&replayW); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(liveW.Bytes(), replayW.Bytes()) {
@@ -95,7 +95,7 @@ func TestReplayProfilesByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				var replayL bytes.Buffer
-				if _, err := analyze(t, ev, leap.NewParallel(ev.Sites, 0, workers)).WriteTo(&replayL); err != nil {
+				if _, err := analyze(t, ev, workers, func(w int) *leap.Profiler { return leap.NewParallel(ev.Sites, 0, w) }).WriteTo(&replayL); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(liveL.Bytes(), replayL.Bytes()) {
@@ -123,9 +123,10 @@ func TestStreamingConsumersMatchSlicePath(t *testing.T) {
 	}
 
 	recsLive, _ := profiler.TranslateTrace(buf.Events, sites)
-	recsReplay, _, err := ev.Translate()
-	if err != nil {
-		t.Fatal(err)
+	var deg cliutil.Degraded
+	recsReplay, _, _, err := ev.Translate(&deg)
+	if err != nil || deg.Err() != nil {
+		t.Fatal(err, deg.Err())
 	}
 	if len(recsLive) != len(recsReplay) {
 		t.Fatalf("translate: %d live records, %d replayed", len(recsLive), len(recsReplay))

@@ -81,13 +81,13 @@ func runSalvage(t *testing.T, data []byte, totalEvents int64) {
 		switch analysis {
 		case "whomp":
 			var p *whomp.Profile
-			p, err = cliutil.Analyze(ev, &deg, whomp.NewParallel(ev.Sites, 4))
+			p, _, err = cliutil.Analyze(ev, &deg, 4, func(w int) *whomp.Profiler { return whomp.NewParallel(ev.Sites, w) })
 			if p != nil {
 				records = p.Records
 			}
 		case "leap":
 			var p *leap.Profile
-			p, err = cliutil.Analyze(ev, &deg, leap.NewParallel(ev.Sites, 0, 4))
+			p, _, err = cliutil.Analyze(ev, &deg, 4, func(w int) *leap.Profiler { return leap.NewParallel(ev.Sites, 0, w) })
 			if p != nil {
 				records = p.Records
 			}
@@ -238,9 +238,10 @@ func TestSoakWorkerPanic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		records, _, err := ev.Translate()
-		if err != nil {
-			t.Fatal(err)
+		var clean cliutil.Degraded
+		records, _, _, err := ev.Translate(&clean)
+		if err != nil || clean.Err() != nil {
+			t.Fatal(err, clean.Err())
 		}
 		if len(records) < 4 {
 			continue
@@ -249,7 +250,9 @@ func TestSoakWorkerPanic(t *testing.T) {
 		// crash index drawn from that range always fires.
 		crashAt := uint64(rng.Int63n(int64(len(records) / 4)))
 		var deg cliutil.Degraded
-		routed, err := cliutil.Analyze(ev, &deg, faultinject.NewCrashingLEAP(ev.Sites, 4, crashAt))
+		routed, _, err := cliutil.Analyze(ev, &deg, 4, func(w int) *faultinject.CrashingLEAP {
+			return faultinject.NewCrashingLEAP(ev.Sites, w, crashAt)
+		})
 		if err != nil {
 			t.Fatalf("%s: worker panic treated as a hard error: %v", name, err)
 		}
