@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-race test-short test-soak test-soak-race bench bench-json bench-allocs vet lint fuzz-short experiments ci loc
+.PHONY: all build test test-race test-short test-soak test-soak-race bench bench-json bench-allocs vet lint fuzz-short experiments ci loc reach
 
 # Pinned linter versions — keep in sync with .github/workflows/ci.yml.
 STATICCHECK_VERSION ?= 2025.1
@@ -58,8 +58,9 @@ test-soak-race: build
 	$(GO) test -race -shuffle=on -run 'TestSoak' -timeout 900s .
 
 # Everything a CI run should gate on: tier-1, tier-2, static analysis,
-# the zero-alloc hot-path gate, and the soaks (plain, then race+shuffle).
-ci: test test-race lint bench-allocs test-soak test-soak-race
+# the reachability ledger, the zero-alloc hot-path gate, and the soaks
+# (plain, then race+shuffle).
+ci: test test-race lint reach bench-allocs test-soak test-soak-race
 
 # Static analysis + known-vulnerability scan. The tools are not vendored;
 # if they are missing locally the target says how to get them and skips
@@ -161,3 +162,11 @@ loc:
 		END { for (d in pkg) printf "%7d  %s\n", pkg[d], d; \
 			for (t in top) printf "%7d  %s (all)\n", top[t], t; \
 			printf "%7d  total\n", all }' | sort -k2
+
+# Reachability ledger: links every cmd/, examples/ and perfbench binary with
+# inlining off and fails if a non-test function under internal/ is linked
+# by none of them and has no owner in reach.allow (a test, a benchmark with
+# an EXPERIMENTS.md row, or the test harness), or if an allowlist entry is
+# reached or gone.
+reach:
+	$(GO) run ./internal/tools/reach

@@ -15,6 +15,7 @@ import (
 	"ormprof/internal/memsim"
 	"ormprof/internal/omc"
 	"ormprof/internal/phase"
+	"ormprof/internal/plan"
 	"ormprof/internal/prefetch"
 	"ormprof/internal/profiler"
 	"ormprof/internal/stride"
@@ -83,6 +84,9 @@ func BenchmarkExtCrossObjectStride(b *testing.B) {
 
 // BenchmarkExtLayoutOptimization measures the §1/§3.2 payoff: L1 miss
 // reduction from profile-directed field reordering and object clustering.
+// Field orders come from PlanFields with each group's first object size as
+// the record size; clustering uses the streaming Planner's first-touch
+// placements, as `ormprof optimize` derives them.
 func BenchmarkExtLayoutOptimization(b *testing.B) {
 	prog, err := workloads.New("181.mcf", benchCfg())
 	if err != nil {
@@ -90,28 +94,32 @@ func BenchmarkExtLayoutOptimization(b *testing.B) {
 	}
 	buf, sites := experiments.Record(prog, nil)
 	recs, o := profiler.TranslateTrace(buf.Events, sites)
-	info := layout.OMCInfo{OMC: o}
-	orig := layout.OriginalResolver(info)
+	orig := layout.OriginalResolver(o)
 
 	var fieldImp, clusterImp float64
 	for i := 0; i < b.N; i++ {
 		before, _ := layout.Evaluate(recs, orig, cachesim.L1D)
 
-		var plans []*layout.FieldPlan
+		fields := &plan.Plan{}
 		for _, g := range o.Groups() {
 			objs := o.Objects(g.ID)
 			if len(objs) == 0 || objs[0].Size%layout.SlotSize != 0 || objs[0].Size < 2*layout.SlotSize {
 				continue
 			}
-			if p, err := layout.PlanFields(recs, g.ID, objs[0].Size); err == nil {
-				plans = append(plans, p)
+			if f, err := layout.PlanFields(recs, g, objs[0].Size); err == nil {
+				fields.Fields = append(fields.Fields, f)
 			}
 		}
-		afterF, _ := layout.Evaluate(recs, layout.FieldResolver(orig, plans...), cachesim.L1D)
+		afterF, _ := layout.Evaluate(recs, layout.PlanResolver(fields, o), cachesim.L1D)
 		fieldImp = layout.Improvement(before, afterF)
 
-		plan := layout.PlanClusters(recs, info)
-		afterC, _ := layout.Evaluate(recs, layout.ClusterResolver(orig, plan), cachesim.L1D)
+		planner := layout.NewPlanner()
+		for _, r := range recs {
+			planner.Consume(r)
+		}
+		full := planner.BuildPlan("181.mcf", o)
+		cluster := &plan.Plan{Region: full.Region, Placements: full.Placements}
+		afterC, _ := layout.Evaluate(recs, layout.PlanResolver(cluster, o), cachesim.L1D)
 		clusterImp = layout.Improvement(before, afterC)
 	}
 	b.ReportMetric(fieldImp, "fieldreorder-miss-reduction%")

@@ -249,13 +249,12 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"stridescan", []string{"-mem-budget", "10Q"}, "not a size"},
 		{"mdep", []string{"-mem-budget", "1.5M"}, "not a size"},
 		{"phasescan", []string{"-mem-budget", ""}, "not a size"},
-		{"layoutopt", []string{"-mem-budget", "nope"}, "not a size"},
-		{"layoutopt", []string{"-deadline", "soon"}, "invalid value"},
 		{"ormprof", []string{"translate", "-mem-budget", "zz"}, "not a size"},
 		{"ormprof", []string{"grammar", "-workers", "0"}, "must be at least 1"},
 		{"ormprof", []string{"optimize", "-workers", "0"}, "must be at least 1"},
 		{"ormprof", []string{"optimize", "-workers", "two"}, "must be an integer"},
 		{"ormprof", []string{"optimize", "-mem-budget", "plenty"}, "not a size"},
+		{"ormprof", []string{"optimize", "-deadline", "soon"}, "invalid value"},
 		{"tracecat", []string{"-mem-budget", "huge"}, "not a size"},
 		{"ormpd", []string{"-mem-budget", "-1"}, "must be non-negative"},
 		{"ormpd", []string{"-global-mem-budget", "lots"}, "not a size"},
@@ -296,7 +295,6 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"stridescan", []string{"-approx=yep"}, "invalid boolean value"},
 		{"mdep", []string{"-approx=maybe"}, "invalid boolean value"},
 		{"phasescan", []string{"-approx="}, "invalid boolean value"},
-		{"layoutopt", []string{"-approx=null"}, "invalid boolean value"},
 		{"ormprof", []string{"optimize", "-approx=x"}, "invalid boolean value"},
 		{"tracecat", []string{"-approx=no!"}, "invalid boolean value"},
 		{"tracecat", []string{"-approx", "x.ormtrace"}, "-approx requires -stats"},
@@ -407,7 +405,6 @@ func TestCLIGovernedPassesOnePath(t *testing.T) {
 		{"stridescan", []string{"stridescan"}, 2},
 		{"mdep", []string{"mdep"}, 1},
 		{"phasescan", []string{"phasescan"}, 1},
-		{"layoutopt", []string{"layoutopt"}, 1},
 		{"translate", []string{"ormprof", "translate"}, 1},
 		{"groups", []string{"ormprof", "groups"}, 1},
 		{"grammar", []string{"ormprof", "grammar"}, 1},
@@ -466,8 +463,8 @@ func TestCLIReplaySingleWorkloadTools(t *testing.T) {
 	out = runTool(t, "mdep", "-replay", tr)
 	wantContains(t, out, "197.parser", "LEAP", "Connors")
 
-	out = runTool(t, "layoutopt", "-replay", tr)
-	wantContains(t, out, "workload 197.parser", "original layout")
+	out = runTool(t, "ormprof", "optimize", "-replay", tr, "-plan", "none")
+	wantContains(t, out, "workload 197.parser", "applied via replay resolution")
 
 	out = runTool(t, "phasescan", "-replay", tr)
 	wantContains(t, out, "197.parser", "Monolithic capture")
@@ -499,14 +496,6 @@ func TestCLIStrideScan(t *testing.T) {
 	}
 	out := runTool(t, "stridescan")
 	wantContains(t, out, "Figure 9", "average stride score")
-}
-
-func TestCLILayoutOpt(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs binaries")
-	}
-	out := runTool(t, "layoutopt", "-workload", "197.parser")
-	wantContains(t, out, "original layout", "field reordering", "object clustering")
 }
 
 // TestCLIOptimize drives the closed PGO loop end-to-end: the text report

@@ -22,6 +22,8 @@ import (
 	"ormprof/internal/decomp"
 	"ormprof/internal/layout"
 	"ormprof/internal/memsim"
+	"ormprof/internal/omc"
+	"ormprof/internal/plan"
 	"ormprof/internal/profiler"
 	"ormprof/internal/trace"
 	"ormprof/internal/whomp"
@@ -119,7 +121,15 @@ func main() {
 	for p, n := range counts {
 		hots = append(hots, hot{p, n})
 	}
-	sort.Slice(hots, func(i, j int) bool { return hots[i].n > hots[j].n })
+	sort.Slice(hots, func(i, j int) bool {
+		if hots[i].n != hots[j].n {
+			return hots[i].n > hots[j].n
+		}
+		if hots[i].p.a != hots[j].p.a {
+			return hots[i].p.a < hots[j].p.a
+		}
+		return hots[i].p.b < hots[j].p.b
+	})
 
 	fmt.Printf("offset grammar: %d symbols for %d accesses (the hot (0, 96)* pattern\n",
 		profile.Grammars[decomp.DimOffset].Symbols(), profile.Records)
@@ -145,16 +155,20 @@ func main() {
 
 	// Quantify the suggestion: replay the object-relative stream through a
 	// 32 KiB L1 under the original and the reordered layouts.
-	wpOMC := wp.OMC()
-	info := layout.OMCInfo{OMC: wpOMC}
-	orig := layout.OriginalResolver(info)
-	group := recs[len(recs)/2].Ref.Group
-	plan, err := layout.PlanFields(recs, group, recSize)
+	o := wp.OMC()
+	var pool omc.GroupInfo
+	for _, g := range o.Groups() {
+		if g.Site == sitePool {
+			pool = g
+		}
+	}
+	order, err := layout.PlanFields(recs, pool, recSize)
 	if err != nil {
 		panic(err)
 	}
-	before, _ := layout.Evaluate(recs, orig, cachesim.L1D)
-	after, _ := layout.Evaluate(recs, layout.FieldResolver(orig, plan), cachesim.L1D)
+	reordered := &plan.Plan{Fields: []plan.FieldOrder{order}}
+	before, _ := layout.Evaluate(recs, layout.OriginalResolver(o), cachesim.L1D)
+	after, _ := layout.Evaluate(recs, layout.PlanResolver(reordered, o), cachesim.L1D)
 	fmt.Printf("\nmeasured on a simulated L1 (32KiB/64B/8-way):\n")
 	fmt.Printf("  original layout:  %6d misses (%.2f%%)\n", before.Misses, 100*before.MissRate())
 	fmt.Printf("  reordered layout: %6d misses (%.2f%%)  — %.1f%% fewer misses\n",

@@ -102,9 +102,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Access simulates one memory access of size bytes at addr, touching every
 // line the access overlaps. It returns the number of line misses incurred.
 func (c *Cache) Access(addr trace.Addr, size uint32) int {
@@ -177,15 +174,6 @@ func (c *Cache) Reset() {
 	}
 	c.stats = Stats{}
 	c.resident = 0
-}
-
-// Footprint reports the simulator's own memory use in bytes (tag storage
-// plus set headers), maintained incrementally as sets fill. This is what
-// the resource-governance budget charges for an evaluation cache; note it
-// is the simulator's cost, not the simulated capacity.
-func (c *Cache) Footprint() int64 {
-	const sliceHeader = 24
-	return int64(len(c.sets))*sliceHeader + int64(c.resident)*8
 }
 
 // Replay drives the cache with every access event of a trace and returns

@@ -46,15 +46,6 @@ func (h *Hierarchy) Levels() int { return len(h.levels) }
 // last level).
 func (h *Hierarchy) MemoryAccesses() uint64 { return h.levels[len(h.levels)-1].Stats().Misses }
 
-// Footprint sums the levels' simulator memory use (see Cache.Footprint).
-func (h *Hierarchy) Footprint() int64 {
-	var total int64
-	for _, lvl := range h.levels {
-		total += lvl.Footprint()
-	}
-	return total
-}
-
 // AMAT estimates the average memory access time in cycles for the given
 // per-level hit latencies plus memory latency (lengths: len(levels)+1).
 // It weights each level's latency by the fraction of line accesses that

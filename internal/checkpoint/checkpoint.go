@@ -243,8 +243,6 @@ type Skipped struct {
 	Err  error
 }
 
-func (s Skipped) Error() string { return s.Err.Error() }
-
 // LoadDir loads every readable checkpoint in dir, keyed by session ID.
 // Corrupt or unreadable files are skipped with a typed per-file error, so
 // one damaged checkpoint never blocks resuming the others.

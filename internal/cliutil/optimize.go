@@ -1,5 +1,5 @@
-// optimize.go holds the shared profile→plan→re-measure pipeline behind
-// `ormprof optimize` and cmd/layoutopt: one deterministic sequence that
+// optimize.go holds the profile→plan→re-measure pipeline behind
+// `ormprof optimize`: one deterministic sequence that
 // profiles a workload (live or replayed), derives an ORMPLAN layout plan
 // from the streaming profiler output, applies it, and measures before/after
 // cache-miss rates per hierarchy level.
@@ -70,30 +70,6 @@ func (m *optimizeMode) Footprint() int64 {
 	return m.o.Footprint() + m.col.Footprint() + m.planner.Footprint()
 }
 
-// Derived is the output of the shared plan-derivation pass: the
-// materialized record stream, the object table, and the streaming planner
-// that watched the same pass.
-type Derived struct {
-	Records []profiler.Record
-	OMC     *omc.OMC
-	Planner *layout.Planner
-	Events  int
-}
-
-// DeriveLayout runs one translate pass, via Run, with the streaming layout
-// planner riding the record fan-out. Errors follow Run: a salvaged one is
-// remembered in deg alongside the partial result, a hard one comes back
-// with no result. The result is also nil when a governed pass ended below
-// the sampled rung, which rung names.
-func (ev *Events) DeriveLayout(deg *Degraded) (*Derived, govern.Rung, error) {
-	m, rung, n, err := run(ev, deg, 1, func(int) *optimizeMode { return newOptimizeMode(ev.Sites) })
-	if err != nil || m == nil {
-		return nil, rung, err
-	}
-	m.cdc.Finish()
-	return &Derived{Records: m.col.Records, OMC: m.o, Planner: m.planner, Events: n}, rung, nil
-}
-
 // OptimizeConfig parameterizes the optimize pipeline.
 type OptimizeConfig struct {
 	// Workers parallelizes the LEAP prefetch-analysis pass; results are
@@ -145,8 +121,7 @@ type OptimizeResult struct {
 	Rung govern.Rung
 }
 
-// optLevels is the evaluation hierarchy: L1D backed by L2, as in
-// cmd/layoutopt's AMAT estimate.
+// optLevels is the evaluation hierarchy: L1D backed by L2.
 var (
 	optLevels     = []cachesim.Config{cachesim.L1D, cachesim.L2}
 	optLevelNames = []string{"L1D", "L2"}
@@ -176,17 +151,19 @@ func (ev *Events) Optimize(cfg OptimizeConfig) (*OptimizeResult, error) {
 	}
 	var deg Degraded
 
-	// Pass 1: translate + streaming plan derivation.
-	d, rung, err := ev.DeriveLayout(&deg)
+	// Pass 1: one translate pass, via Run, with the streaming layout
+	// planner riding the record fan-out.
+	m, rung, n, err := run(ev, &deg, 1, func(int) *optimizeMode { return newOptimizeMode(ev.Sites) })
 	if err != nil {
 		return nil, err
 	}
 	res := &OptimizeResult{Name: ev.Name, Live: !ev.Replayed(), Rung: rung}
-	if d == nil {
+	if m == nil {
 		return res, deg.Err() // degraded below sampled: no plan, governance only
 	}
-	recs, o, planner := d.Records, d.OMC, d.Planner
-	res.Events, res.Accesses = d.Events, len(recs)
+	m.cdc.Finish()
+	recs, o, planner := m.col.Records, m.o, m.planner
+	res.Events, res.Accesses = n, len(recs)
 
 	// Pass 2: LEAP stride analysis for the plan's prefetch rules.
 	var rules []plan.PrefetchRule
@@ -248,7 +225,7 @@ func (ev *Events) Optimize(cfg OptimizeConfig) (*OptimizeResult, error) {
 	}
 	if len(levels) > 0 {
 		before := cachesim.NewHierarchy(levels...)
-		res.SkippedBefore = before.ReplayRecords(recs, layout.OriginalResolver(layout.OMCInfo{OMC: o}))
+		res.SkippedBefore = before.ReplayRecords(recs, layout.OriginalResolver(o))
 
 		after := cachesim.NewHierarchy(levels...)
 		if res.Live {

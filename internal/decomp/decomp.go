@@ -83,54 +83,12 @@ type Horizontal struct {
 	Offset []uint64
 }
 
-// Add appends one record's dimension symbols — the streaming form of
-// Decompose, usable as the body of a profiler.SCCFunc so decomposition can
-// ride directly on the translated record stream.
-func (h *Horizontal) Add(r profiler.Record) {
-	h.Instr = append(h.Instr, uint64(r.Instr))
-	h.Group = append(h.Group, uint64(r.Ref.Group))
-	h.Object = append(h.Object, uint64(r.Ref.Object))
-	h.Offset = append(h.Offset, r.Ref.Offset)
-}
-
-// Decompose splits the object-relative stream into its four dimension
-// streams.
-func Decompose(recs []profiler.Record) Horizontal {
-	h := Horizontal{
-		Instr:  make([]uint64, 0, len(recs)),
-		Group:  make([]uint64, 0, len(recs)),
-		Object: make([]uint64, 0, len(recs)),
-		Offset: make([]uint64, 0, len(recs)),
-	}
-	for _, r := range recs {
-		h.Add(r)
-	}
-	return h
-}
-
-// Stream returns dimension d's symbol stream.
-func (h Horizontal) Stream(d Dimension) []uint64 {
-	switch d {
-	case DimInstr:
-		return h.Instr
-	case DimGroup:
-		return h.Group
-	case DimObject:
-		return h.Object
-	case DimOffset:
-		return h.Offset
-	default:
-		panic("decomp: no stream for dimension " + d.String())
-	}
-}
-
 // Len reports the stream length.
 func (h Horizontal) Len() int { return len(h.Instr) }
 
 // Recompose zips the dimension streams back into tuples. Time stamps are
 // positions; Store/Size are not part of the 5-tuple and come back zero.
-// Together with Decompose it witnesses that horizontal decomposition loses
-// nothing.
+// It witnesses that horizontal decomposition loses nothing.
 func (h Horizontal) Recompose() []profiler.Record {
 	recs := make([]profiler.Record, h.Len())
 	for i := range recs {
@@ -168,28 +126,7 @@ type InstrGroupKey struct {
 	Group omc.GroupID
 }
 
-// ByInstr vertically decomposes the stream by instruction: one substream per
-// static instruction, each in original (time) order.
-func ByInstr(recs []profiler.Record) map[trace.InstrID][]profiler.Record {
-	out := make(map[trace.InstrID][]profiler.Record)
-	for _, r := range recs {
-		out[r.Instr] = append(out[r.Instr], r)
-	}
-	return out
-}
-
-// ByInstrGroup vertically decomposes by instruction and then group, yielding
-// the (object, offset, time) substreams LEAP compresses.
-func ByInstrGroup(recs []profiler.Record) map[InstrGroupKey][]profiler.Record {
-	out := make(map[InstrGroupKey][]profiler.Record)
-	for _, r := range recs {
-		k := InstrGroupKey{Instr: r.Instr, Group: r.Ref.Group}
-		out[k] = append(out[k], r)
-	}
-	return out
-}
-
-// SortedInstrs returns the instruction keys of a ByInstr decomposition in
+// SortedInstrs returns the instruction keys of a per-instruction map in
 // ascending order, for deterministic iteration.
 func SortedInstrs[T any](m map[trace.InstrID]T) []trace.InstrID {
 	keys := make([]trace.InstrID, 0, len(m))
@@ -200,7 +137,7 @@ func SortedInstrs[T any](m map[trace.InstrID]T) []trace.InstrID {
 	return keys
 }
 
-// SortedKeys returns the keys of a ByInstrGroup decomposition ordered by
+// SortedKeys returns the keys of a per-(instruction, group) map ordered by
 // (instr, group), for deterministic iteration.
 func SortedKeys[T any](m map[InstrGroupKey]T) []InstrGroupKey {
 	keys := make([]InstrGroupKey, 0, len(m))
@@ -214,33 +151,4 @@ func SortedKeys[T any](m map[InstrGroupKey]T) []InstrGroupKey {
 		return keys[i].Group < keys[j].Group
 	})
 	return keys
-}
-
-// Merge recomposes vertically decomposed substreams into a single stream
-// ordered by time-stamp. Each substream must already be time-ordered (as
-// produced by ByInstr / ByInstrGroup). This witnesses that the added time
-// dimension makes vertical decomposition invertible (§2.2).
-func Merge(substreams ...[]profiler.Record) []profiler.Record {
-	n := 0
-	for _, s := range substreams {
-		n += len(s)
-	}
-	out := make([]profiler.Record, 0, n)
-	idx := make([]int, len(substreams))
-	for len(out) < n {
-		best := -1
-		var bestTime trace.Time
-		for i, s := range substreams {
-			if idx[i] >= len(s) {
-				continue
-			}
-			if best == -1 || s[idx[i]].Time < bestTime {
-				best = i
-				bestTime = s[idx[i]].Time
-			}
-		}
-		out = append(out, substreams[best][idx[best]])
-		idx[best]++
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package decomp
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -27,10 +28,23 @@ func randomRecords(rng *rand.Rand, n int) []profiler.Record {
 	return recs
 }
 
+// horizontal splits recs into their four dimension streams, as WHOMP's
+// per-dimension grammars hold them.
+func horizontal(recs []profiler.Record) Horizontal {
+	var h Horizontal
+	for _, r := range recs {
+		h.Instr = append(h.Instr, Value(r, DimInstr))
+		h.Group = append(h.Group, Value(r, DimGroup))
+		h.Object = append(h.Object, Value(r, DimObject))
+		h.Offset = append(h.Offset, Value(r, DimOffset))
+	}
+	return h
+}
+
 func TestHorizontalRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	recs := randomRecords(rng, 500)
-	h := Decompose(recs)
+	h := horizontal(recs)
 	if h.Len() != 500 {
 		t.Fatalf("Len = %d", h.Len())
 	}
@@ -62,93 +76,81 @@ func TestDimensionAccessors(t *testing.T) {
 			t.Errorf("Value(%v) = %d, want %d", d, got, want)
 		}
 	}
-	h := Decompose([]profiler.Record{r})
-	for _, d := range Dims {
-		if got := h.Stream(d)[0]; got != cases[d] {
-			t.Errorf("Stream(%v)[0] = %d, want %d", d, got, cases[d])
-		}
-	}
 	if DimInstr.String() != "instr" || DimOffset.String() != "offset" || DimTime.String() != "time" {
 		t.Error("dimension names wrong")
 	}
 }
 
+// shards vertically decomposes recs the way the parallel pipeline does:
+// each record goes to worker Shard(r, n), in stream order.
+func shards(recs []profiler.Record, n int) [][]profiler.Record {
+	out := make([][]profiler.Record, n)
+	for _, r := range recs {
+		w := Shard(r, n)
+		out[w] = append(out[w], r)
+	}
+	return out
+}
+
 func TestVerticalByInstr(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	recs := randomRecords(rng, 300)
-	sub := ByInstr(recs)
-
+	const n = 3
+	home := make(map[trace.InstrID]int)
+	byInstr := make(map[trace.InstrID]int)
+	byKey := make(map[InstrGroupKey]int)
 	total := 0
-	for id, s := range sub {
+	for w, s := range shards(recs, n) {
 		total += len(s)
-		last := trace.Time(0)
 		for i, r := range s {
-			if r.Instr != id {
-				t.Fatalf("substream %d contains instr %d", id, r.Instr)
+			if h, ok := home[r.Instr]; ok && h != w {
+				t.Fatalf("instr %d split across shards %d and %d", r.Instr, h, w)
 			}
-			if i > 0 && r.Time <= last {
-				t.Fatalf("substream %d not time-ordered", id)
+			home[r.Instr] = w
+			if i > 0 && r.Time <= s[i-1].Time {
+				t.Fatalf("shard %d not time-ordered", w)
 			}
-			last = r.Time
+			byInstr[r.Instr]++
+			byKey[InstrGroupKey{Instr: r.Instr, Group: r.Ref.Group}]++
 		}
 	}
 	if total != len(recs) {
-		t.Fatalf("substreams cover %d of %d records", total, len(recs))
+		t.Fatalf("shards cover %d of %d records", total, len(recs))
 	}
-	ids := SortedInstrs(sub)
+	ids := SortedInstrs(byInstr)
+	if len(ids) != len(byInstr) {
+		t.Fatalf("SortedInstrs returned %d of %d keys", len(ids), len(byInstr))
+	}
 	for i := 1; i < len(ids); i++ {
 		if ids[i-1] >= ids[i] {
 			t.Fatal("SortedInstrs out of order")
 		}
 	}
-}
-
-func TestVerticalByInstrGroupAndMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	recs := randomRecords(rng, 400)
-	sub := ByInstrGroup(recs)
-
-	keys := SortedKeys(sub)
+	keys := SortedKeys(byKey)
+	if len(keys) != len(byKey) {
+		t.Fatalf("SortedKeys returned %d of %d keys", len(keys), len(byKey))
+	}
 	for i := 1; i < len(keys); i++ {
 		a, b := keys[i-1], keys[i]
 		if a.Instr > b.Instr || (a.Instr == b.Instr && a.Group >= b.Group) {
 			t.Fatal("SortedKeys out of order")
 		}
 	}
-
-	// Vertical decomposition + time-stamp merge must reproduce the
-	// original stream exactly (§2.2: the time dimension makes substreams
-	// uniquely identifiable).
-	streams := make([][]profiler.Record, 0, len(sub))
-	for _, k := range keys {
-		streams = append(streams, sub[k])
-	}
-	merged := Merge(streams...)
-	if !reflect.DeepEqual(merged, recs) {
-		t.Fatal("Merge(ByInstrGroup(recs)) != recs")
-	}
 }
 
-func TestMergeEmpty(t *testing.T) {
-	if got := Merge(); len(got) != 0 {
-		t.Errorf("Merge() = %v", got)
-	}
-	if got := Merge(nil, nil); len(got) != 0 {
-		t.Errorf("Merge(nil, nil) = %v", got)
-	}
-}
-
+// TestQuickVerticalRecomposition checks §2.2's claim for the pipeline's
+// vertical decomposition: the time dimension makes the shards invertible,
+// so merging them by time stamp reproduces the original stream.
 func TestQuickVerticalRecomposition(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
+	f := func(seed int64, nRaw uint8, wRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		recs := randomRecords(rng, int(nRaw))
-		sub := ByInstr(recs)
-		streams := make([][]profiler.Record, 0, len(sub))
-		for _, id := range SortedInstrs(sub) {
-			streams = append(streams, sub[id])
+		var merged []profiler.Record
+		for _, s := range shards(recs, 1+int(wRaw%8)) {
+			merged = append(merged, s...)
 		}
-		return reflect.DeepEqual(Merge(streams...), recs) ||
-			(len(recs) == 0 && len(Merge(streams...)) == 0)
+		sort.Slice(merged, func(i, j int) bool { return merged[i].Time < merged[j].Time })
+		return reflect.DeepEqual(merged, recs) || (len(recs) == 0 && len(merged) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

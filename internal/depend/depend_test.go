@@ -169,24 +169,3 @@ func TestSortedMDF(t *testing.T) {
 		}
 	}
 }
-
-func TestMergeResults(t *testing.T) {
-	a := NewResult()
-	a.LoadExecs[1] = 100
-	a.Conflicts[Pair{St: 9, Ld: 1}] = 50
-	b := NewResult()
-	b.LoadExecs[1] = 100
-	b.Conflicts[Pair{St: 9, Ld: 1}] = 100
-	b.LoadExecs[2] = 10
-	b.Conflicts[Pair{St: 9, Ld: 2}] = 10
-
-	m := MergeResults(a, nil, b)
-	mdf := m.MDF()
-	// Execution-weighted average: (50+100)/(100+100) = 0.75.
-	if got := mdf[Pair{St: 9, Ld: 1}]; got != 0.75 {
-		t.Errorf("merged MDF = %v, want 0.75", got)
-	}
-	if got := mdf[Pair{St: 9, Ld: 2}]; got != 1.0 {
-		t.Errorf("pair only in one run: MDF = %v", got)
-	}
-}

@@ -5,7 +5,7 @@
 //
 //   - CorruptByte / Truncate damage the encoded byte stream, exercising
 //     the lenient reader's checksum detection and frame resynchronization;
-//   - FlipField, PanicAfter, ErrorAfter, and Stall damage the decoded
+//   - FlipField, PanicAfter and Stall damage the decoded
 //     event stream, exercising salvage drains, panic containment, and
 //     deadline enforcement;
 //   - PanicSCC crashes a downstream compression stage, and CrashingLEAP
@@ -83,19 +83,6 @@ func PanicAfter(src trace.Source, n int64) trace.Source {
 	return trace.SourceFunc(func() (trace.Event, error) {
 		if i == n {
 			panic(fmt.Sprintf("faultinject: injected panic at event %d", n))
-		}
-		i++
-		return src.Next()
-	})
-}
-
-// ErrorAfter returns a source that fails with err after delivering n
-// events — a typed mid-stream failure.
-func ErrorAfter(src trace.Source, n int64, err error) trace.Source {
-	var i int64
-	return trace.SourceFunc(func() (trace.Event, error) {
-		if i >= n {
-			return trace.Event{}, err
 		}
 		i++
 		return src.Next()

@@ -54,9 +54,6 @@ func (b *Budget) Used() int64 { return b.used.Load() }
 // Peak reports the highest value Used has reached.
 func (b *Budget) Peak() int64 { return b.peak.Load() }
 
-// Limit reports the configured limit (0 = unlimited).
-func (b *Budget) Limit() int64 { return b.limit }
-
 // EffectiveLimit reports the tightest nonzero limit on this budget or any
 // ancestor (0 = fully unlimited). A child created with Sub(0) is governed
 // by its parent's limit; this is the number reports should show.

@@ -22,6 +22,7 @@ import (
 
 	"ormprof/internal/cachesim"
 	"ormprof/internal/omc"
+	"ormprof/internal/plan"
 	"ormprof/internal/profiler"
 	"ormprof/internal/trace"
 )
@@ -29,82 +30,38 @@ import (
 // SlotSize is the granularity of field rearrangement, one machine word.
 const SlotSize = 8
 
-// ObjectInfo resolves object placement and size from the auxiliary object
-// table. *omc.OMC satisfies it via OMCInfo.
-type ObjectInfo interface {
-	Object(g omc.GroupID, serial uint32) (start trace.Addr, size uint32, ok bool)
-}
-
-// OMCInfo adapts an OMC to ObjectInfo.
-type OMCInfo struct {
-	OMC *omc.OMC
-}
-
-// Object implements ObjectInfo.
-func (i OMCInfo) Object(g omc.GroupID, serial uint32) (trace.Addr, uint32, bool) {
-	info := i.OMC.Lookup(g, serial)
-	if info == nil {
-		return 0, 0, false
-	}
-	return info.Start, info.Size, true
-}
-
-// FieldPlan rearranges the slots of one group's records. Offsets are taken
-// modulo RecordSize, so a pool object holding many records (the paper's
-// footnote 2 pools) is rearranged record-wise.
-type FieldPlan struct {
-	Group      omc.GroupID
-	RecordSize uint32
-	// NewOffset[oldSlot] is the byte offset the slot moves to.
-	NewOffset []uint32
-	// Hits counts profile accesses per old slot (diagnostic).
-	Hits []uint64
-}
-
-// PlanFields builds a hot-first field plan for group g with the given
-// record size: slots are packed in descending access-count order, so the
-// hottest fields land together at the front of the record. Returns an error
-// if recordSize is not a positive multiple of SlotSize.
-func PlanFields(recs []profiler.Record, g omc.GroupID, recordSize uint32) (*FieldPlan, error) {
+// PlanFields builds a hot-first field order for the records of group g,
+// taking offsets modulo the given record size so a pool object holding
+// many records (the paper's footnote 2 pools) is rearranged record-wise.
+// The order is keyed by g's allocation site, so it evaluates through
+// PlanResolver like the orders Planner derives. Returns an error if
+// recordSize is not a positive multiple of SlotSize.
+func PlanFields(recs []profiler.Record, g omc.GroupInfo, recordSize uint32) (plan.FieldOrder, error) {
 	if recordSize == 0 || recordSize%SlotSize != 0 {
-		return nil, fmt.Errorf("layout: record size %d not a positive multiple of %d", recordSize, SlotSize)
+		return plan.FieldOrder{}, fmt.Errorf("layout: record size %d not a positive multiple of %d", recordSize, SlotSize)
 	}
-	nSlots := int(recordSize / SlotSize)
-	hits := make([]uint64, nSlots)
+	hits := make([]uint64, recordSize/SlotSize)
 	for _, r := range recs {
-		if r.Ref.Group != g {
-			continue
+		if r.Ref.Group == g.ID {
+			hits[r.Ref.Offset%uint64(recordSize)/SlotSize]++
 		}
-		slot := int(r.Ref.Offset % uint64(recordSize) / SlotSize)
-		hits[slot]++
 	}
-	order := make([]int, nSlots) // order[newIdx] = oldSlot
+	return hotFirst(g.Site, recordSize, hits), nil
+}
+
+// hotFirst orders one record's slots by descending access count (stable,
+// so equally hot slots keep their order) and packs them from offset 0.
+func hotFirst(site trace.SiteID, recordSize uint32, hits []uint64) plan.FieldOrder {
+	order := make([]int, len(hits)) // order[newIdx] = oldSlot
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return hits[order[a]] > hits[order[b]]
-	})
-	plan := &FieldPlan{
-		Group:      g,
-		RecordSize: recordSize,
-		NewOffset:  make([]uint32, nSlots),
-		Hits:       hits,
-	}
+	sort.SliceStable(order, func(a, b int) bool { return hits[order[a]] > hits[order[b]] })
+	f := plan.FieldOrder{Site: site, RecordSize: recordSize, NewOffset: make([]uint32, len(hits))}
 	for newIdx, oldSlot := range order {
-		plan.NewOffset[oldSlot] = uint32(newIdx) * SlotSize
+		f.NewOffset[oldSlot] = uint32(newIdx) * SlotSize
 	}
-	return plan, nil
-}
-
-// Remap translates an offset within the group's object to its offset under
-// the plan.
-func (p *FieldPlan) Remap(off uint64) uint64 {
-	rec := off / uint64(p.RecordSize)
-	within := off % uint64(p.RecordSize)
-	slot := within / SlotSize
-	rem := within % SlotSize
-	return rec*uint64(p.RecordSize) + uint64(p.NewOffset[slot]) + rem
+	return f
 }
 
 // objKey identifies an object across the run.
@@ -113,49 +70,9 @@ type objKey struct {
 	serial uint32
 }
 
-// ClusterPlan assigns new start addresses to heap objects: objects are
-// packed contiguously in first-touch order, so objects used together sit on
-// the same or neighbouring lines regardless of where the allocator put them.
-type ClusterPlan struct {
-	base map[objKey]trace.Addr
-	// Region is where the packed objects start.
-	Region trace.Addr
-	// Packed reports how many objects were placed.
-	Packed int
-}
-
 // clusterRegion is far above both simulated segments, so packed placements
 // never collide with original ones.
 const clusterRegion trace.Addr = 0x7000_0000_0000
-
-// PlanClusters packs every touched heap object in first-touch order.
-func PlanClusters(recs []profiler.Record, info ObjectInfo) *ClusterPlan {
-	plan := &ClusterPlan{base: make(map[objKey]trace.Addr), Region: clusterRegion}
-	next := clusterRegion
-	for _, r := range recs {
-		if r.Ref.Group == omc.Unmapped {
-			continue
-		}
-		k := objKey{r.Ref.Group, r.Ref.Object}
-		if _, done := plan.base[k]; done {
-			continue
-		}
-		_, size, ok := info.Object(r.Ref.Group, r.Ref.Object)
-		if !ok {
-			continue
-		}
-		plan.base[k] = next
-		next += trace.Addr((size + 15) &^ 15)
-		plan.Packed++
-	}
-	return plan
-}
-
-// Resolve returns the object's packed base address.
-func (p *ClusterPlan) Resolve(g omc.GroupID, serial uint32) (trace.Addr, bool) {
-	a, ok := p.base[objKey{g, serial}]
-	return a, ok
-}
 
 // Resolver maps an object-relative reference to the address it would have
 // under some layout. It is cachesim's Resolve type: a resolver plugs
@@ -164,43 +81,16 @@ type Resolver = cachesim.Resolve
 
 // OriginalResolver resolves references to their original run addresses via
 // the object table (unmapped references keep their raw address).
-func OriginalResolver(info ObjectInfo) Resolver {
+func OriginalResolver(o *omc.OMC) Resolver {
 	return func(ref omc.Ref) (trace.Addr, bool) {
 		if ref.Group == omc.Unmapped {
 			return trace.Addr(ref.Offset), true
 		}
-		start, size, ok := info.Object(ref.Group, ref.Object)
-		if !ok || ref.Offset >= uint64(size) {
+		info := o.Lookup(ref.Group, ref.Object)
+		if info == nil || ref.Offset >= uint64(info.Size) {
 			return 0, false
 		}
-		return start + trace.Addr(ref.Offset), true
-	}
-}
-
-// FieldResolver applies field plans (keyed by group) on top of base.
-func FieldResolver(base Resolver, plans ...*FieldPlan) Resolver {
-	byGroup := make(map[omc.GroupID]*FieldPlan, len(plans))
-	for _, p := range plans {
-		byGroup[p.Group] = p
-	}
-	return func(ref omc.Ref) (trace.Addr, bool) {
-		if p, ok := byGroup[ref.Group]; ok {
-			ref.Offset = p.Remap(ref.Offset)
-		}
-		return base(ref)
-	}
-}
-
-// ClusterResolver resolves via the cluster plan, falling back to base for
-// objects the plan does not cover.
-func ClusterResolver(base Resolver, plan *ClusterPlan) Resolver {
-	return func(ref omc.Ref) (trace.Addr, bool) {
-		if ref.Group != omc.Unmapped {
-			if a, ok := plan.Resolve(ref.Group, ref.Object); ok {
-				return a + trace.Addr(ref.Offset), true
-			}
-		}
-		return base(ref)
+		return info.Start + trace.Addr(ref.Offset), true
 	}
 }
 

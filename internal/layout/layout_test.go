@@ -1,12 +1,14 @@
 package layout
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"ormprof/internal/cachesim"
 	"ormprof/internal/memsim"
 	"ormprof/internal/omc"
+	"ormprof/internal/plan"
 	"ormprof/internal/profiler"
 	"ormprof/internal/trace"
 	"ormprof/internal/workloads"
@@ -34,58 +36,69 @@ func sessionTrace(t *testing.T) ([]profiler.Record, *omc.OMC) {
 	return profiler.TranslateTrace(buf.Events, nil)
 }
 
+// poolGroup is the session pool's group in sessionTrace's object table.
+func poolGroup(t *testing.T, o *omc.OMC) omc.GroupInfo {
+	t.Helper()
+	for _, g := range o.Groups() {
+		if g.Site == 1 {
+			return g
+		}
+	}
+	t.Fatal("no group for the pool site")
+	return omc.GroupInfo{}
+}
+
 func TestPlanFieldsHotFirst(t *testing.T) {
 	recs, o := sessionTrace(t)
-	g := recs[0].Ref.Group
-	plan, err := PlanFields(recs, g, 128)
+	f, err := PlanFields(recs, poolGroup(t, o), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if f.Site != 1 || f.RecordSize != 128 || len(f.NewOffset) != 128/SlotSize {
+		t.Fatalf("order = site %d, record %d, %d slots", f.Site, f.RecordSize, len(f.NewOffset))
+	}
 	// Hot slots: 0 (one access/record/round) and 12 (two). Hot-first
 	// packing must place slot 12 at offset 0 and slot 0 at offset 8.
-	if plan.NewOffset[12] != 0 {
-		t.Errorf("hottest slot 12 mapped to %d, want 0", plan.NewOffset[12])
+	if f.NewOffset[12] != 0 {
+		t.Errorf("hottest slot 12 mapped to %d, want 0", f.NewOffset[12])
 	}
-	if plan.NewOffset[0] != 8 {
-		t.Errorf("slot 0 mapped to %d, want 8", plan.NewOffset[0])
+	if f.NewOffset[0] != 8 {
+		t.Errorf("slot 0 mapped to %d, want 8", f.NewOffset[0])
 	}
-	if plan.Hits[12] != 2*10*512 || plan.Hits[0] != 10*512 {
-		t.Errorf("hits = %d, %d", plan.Hits[12], plan.Hits[0])
-	}
-	_ = o
 }
 
 func TestPlanFieldsRejectsBadRecordSize(t *testing.T) {
-	if _, err := PlanFields(nil, 1, 0); err == nil {
+	g := omc.GroupInfo{ID: 1, Site: 1}
+	if _, err := PlanFields(nil, g, 0); err == nil {
 		t.Error("record size 0 accepted")
 	}
-	if _, err := PlanFields(nil, 1, 12); err == nil {
+	if _, err := PlanFields(nil, g, 12); err == nil {
 		t.Error("non-multiple record size accepted")
 	}
 }
 
 func TestRemapIsBijective(t *testing.T) {
-	recs, _ := sessionTrace(t)
-	plan, err := PlanFields(recs, recs[0].Ref.Group, 128)
+	recs, o := sessionTrace(t)
+	f, err := PlanFields(recs, poolGroup(t, o), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := func(off uint32) bool {
+	check := func(off uint32) bool {
 		o := uint64(off) % (512 * 128)
-		m := plan.Remap(o)
+		m := f.Remap(o)
 		// Same record, valid range, and injective on slot starts.
 		if m/128 != o/128 || m >= 512*128 {
 			return false
 		}
 		return m%SlotSize == o%SlotSize
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 	// Injectivity over one record's slots.
 	seen := make(map[uint64]bool)
 	for s := uint64(0); s < 128; s += SlotSize {
-		m := plan.Remap(s)
+		m := f.Remap(s)
 		if seen[m] {
 			t.Fatalf("Remap collides at %d", s)
 		}
@@ -95,14 +108,12 @@ func TestRemapIsBijective(t *testing.T) {
 
 func TestFieldReorderReducesMisses(t *testing.T) {
 	recs, o := sessionTrace(t)
-	g := recs[0].Ref.Group
-	plan, err := PlanFields(recs, g, 128)
+	f, err := PlanFields(recs, poolGroup(t, o), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := OriginalResolver(OMCInfo{OMC: o})
-	before, skipB := Evaluate(recs, orig, cachesim.L1D)
-	after, skipA := Evaluate(recs, FieldResolver(orig, plan), cachesim.L1D)
+	before, skipB := Evaluate(recs, OriginalResolver(o), cachesim.L1D)
+	after, skipA := Evaluate(recs, PlanResolver(&plan.Plan{Fields: []plan.FieldOrder{f}}, o), cachesim.L1D)
 	if skipB != 0 || skipA != 0 {
 		t.Fatalf("skipped %d/%d accesses", skipB, skipA)
 	}
@@ -116,22 +127,33 @@ func TestFieldReorderReducesMisses(t *testing.T) {
 	}
 }
 
-func TestClusterReducesMisses(t *testing.T) {
-	// The linked-list workload with clutter: nodes are scattered, so each
-	// 48-byte node occupies its own line; packing them makes consecutive
-	// nodes share lines.
+// linkedListPlacements profiles the linked-list workload with clutter
+// through a Planner and returns its trace, object table and first-touch
+// placement plan.
+func linkedListPlacements(t *testing.T) ([]profiler.Record, *omc.OMC, *plan.Plan) {
+	t.Helper()
 	prog := workloads.NewLinkedList(workloads.Config{Scale: 8, Seed: 3})
 	buf := &trace.Buffer{}
 	memsim.Run(prog, buf)
 	recs, o := profiler.TranslateTrace(buf.Events, nil)
-
-	orig := OriginalResolver(OMCInfo{OMC: o})
-	plan := PlanClusters(recs, OMCInfo{OMC: o})
-	if plan.Packed == 0 {
-		t.Fatal("no objects packed")
+	p := NewPlanner()
+	for _, r := range recs {
+		p.Consume(r)
 	}
-	before, _ := Evaluate(recs, orig, cachesim.L1D)
-	after, skipped := Evaluate(recs, ClusterResolver(orig, plan), cachesim.L1D)
+	full := p.BuildPlan("linkedlist", o)
+	if len(full.Placements) == 0 {
+		t.Fatal("no objects placed")
+	}
+	return recs, o, &plan.Plan{Region: full.Region, Placements: full.Placements}
+}
+
+func TestClusterReducesMisses(t *testing.T) {
+	// Nodes are scattered, so each 48-byte node occupies its own line;
+	// packing them in first-touch order makes consecutive nodes share
+	// lines.
+	recs, o, pl := linkedListPlacements(t)
+	before, _ := Evaluate(recs, OriginalResolver(o), cachesim.L1D)
+	after, skipped := Evaluate(recs, PlanResolver(pl, o), cachesim.L1D)
 	if skipped != 0 {
 		t.Fatalf("skipped %d", skipped)
 	}
@@ -141,36 +163,25 @@ func TestClusterReducesMisses(t *testing.T) {
 }
 
 func TestClusterPlanPlacementsDisjoint(t *testing.T) {
-	recs, o := sessionTrace(t)
-	plan := PlanClusters(recs, OMCInfo{OMC: o})
-	// Packed placements must not overlap (checked via sorted bases).
-	type placed struct {
-		start trace.Addr
-		size  uint32
-	}
-	var all []placed
-	for _, r := range recs {
-		if a, ok := plan.Resolve(r.Ref.Group, r.Ref.Object); ok {
-			_, size, _ := OMCInfo{OMC: o}.Object(r.Ref.Group, r.Ref.Object)
-			all = append(all, placed{a, size})
+	_, _, pl := linkedListPlacements(t)
+	// Packed placements lie in the region and do not overlap.
+	ps := append([]plan.ObjectPlacement(nil), pl.Placements...)
+	sort.Slice(ps, func(i, j int) bool { return ps[i].Addr < ps[j].Addr })
+	for i, e := range ps {
+		if e.Addr < pl.Region {
+			t.Fatalf("placement %#x below region", uint64(e.Addr))
 		}
-	}
-	seen := make(map[trace.Addr]bool)
-	for _, p := range all {
-		if p.start < plan.Region {
-			t.Fatalf("placement %#x below region", uint64(p.start))
+		if i > 0 && ps[i-1].Addr+trace.Addr(ps[i-1].Size) > e.Addr {
+			t.Fatalf("placements at %#x (%d bytes) and %#x overlap",
+				uint64(ps[i-1].Addr), ps[i-1].Size, uint64(e.Addr))
 		}
-		seen[p.start] = true
-	}
-	if len(seen) != plan.Packed {
-		t.Fatalf("distinct bases %d != packed %d", len(seen), plan.Packed)
 	}
 }
 
 func TestOriginalResolverErrors(t *testing.T) {
 	o := omc.New(nil)
 	o.Alloc(1, 0x1000, 16, 0)
-	r := OriginalResolver(OMCInfo{OMC: o})
+	r := OriginalResolver(o)
 	if _, ok := r(omc.Ref{Group: 1, Object: 0, Offset: 16}); ok {
 		t.Error("out-of-object offset resolved")
 	}

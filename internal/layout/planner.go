@@ -17,8 +17,7 @@ const maxPlanSlots = 4096
 // Planner is a streaming SCC that accumulates exactly what a layout plan
 // needs — per-group slot-hit histograms for field ordering and the global
 // first-touch object order for clustering — without buffering the record
-// stream. It replaces the ad-hoc []Record slices PlanFields/PlanClusters
-// consume: the optimize pipeline feeds it straight from the profiler's
+// stream: the optimize pipeline feeds it straight from the profiler's
 // collector, so plan derivation is single-pass and budget-accountable.
 //
 // Footprint is maintained incrementally as histograms grow and objects are
@@ -76,14 +75,11 @@ func (p *Planner) Finish() {}
 // incrementally (no walking).
 func (p *Planner) Footprint() int64 { return p.foot }
 
-// Touched reports how many distinct objects the stream accessed.
-func (p *Planner) Touched() int { return len(p.touch) }
-
 // FieldOrders derives hot-first field orders for every group whose objects
 // share one uniform size that is a multiple of SlotSize with at least two
-// slots (record size = object size, as in cmd/layoutopt). Orders are keyed
-// by the group's allocation site so they apply across runs; groups are
-// visited in OMC order and a site is planned at most once.
+// slots (record size = object size). Orders are keyed by the group's
+// allocation site so they apply across runs; groups are visited in OMC
+// order and a site is planned at most once.
 func (p *Planner) FieldOrders(o *omc.OMC) []plan.FieldOrder {
 	var out []plan.FieldOrder
 	planned := make(map[trace.SiteID]bool)
@@ -114,16 +110,7 @@ func (p *Planner) FieldOrders(o *omc.OMC) []plan.FieldOrder {
 		for slot, n := range hist {
 			hits[slot%nSlots] += n
 		}
-		order := make([]int, nSlots) // order[newIdx] = oldSlot
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool { return hits[order[a]] > hits[order[b]] })
-		f := plan.FieldOrder{Site: g.Site, RecordSize: size, NewOffset: make([]uint32, nSlots)}
-		for newIdx, oldSlot := range order {
-			f.NewOffset[oldSlot] = uint32(newIdx) * SlotSize
-		}
-		out = append(out, f)
+		out = append(out, hotFirst(g.Site, size, hits))
 		planned[g.Site] = true
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
@@ -204,7 +191,7 @@ func PlanResolver(pl *plan.Plan, o *omc.OMC) Resolver {
 		}
 		placed[objKey{g, e.Serial}] = e.Addr
 	}
-	orig := OriginalResolver(OMCInfo{OMC: o})
+	orig := OriginalResolver(o)
 	return func(ref omc.Ref) (trace.Addr, bool) {
 		if ref.Group == omc.Unmapped {
 			return orig(ref)

@@ -17,8 +17,7 @@ import (
 // The merged profile is intended for the aggregate consumers — stride
 // detection (descriptor histograms add) and sample-quality accounting
 // (counters add). Dependence analysis must not be run on a merged profile,
-// because descriptors from different runs do not share a timeline; merge
-// dependence *results* instead (depend.MergeResults).
+// because descriptors from different runs do not share a timeline.
 func Merge(profiles ...*Profile) *Profile {
 	out := &Profile{
 		Streams:    make(map[StreamKey]*Stream),

@@ -8,8 +8,6 @@
 // depend composes one equation per dimension and counts solutions.
 package omega
 
-import "fmt"
-
 // FloorDiv returns ⌊a/b⌋ for b ≠ 0 (division rounding toward -∞).
 func FloorDiv(a, b int64) int64 {
 	q := a / b
@@ -76,11 +74,6 @@ type Line struct {
 
 // At returns the point at parameter t.
 func (l Line) At(t int64) (x, y int64) { return l.X0 + l.Dx*t, l.Y0 + l.Dy*t }
-
-// String renders the family.
-func (l Line) String() string {
-	return fmt.Sprintf("(x,y) = (%d%+d·t, %d%+d·t)", l.X0, l.Dx, l.Y0, l.Dy)
-}
 
 // Set is the solution set of a linear Diophantine equation in two variables.
 type Set struct {

@@ -3,7 +3,6 @@ package phase
 import (
 	"ormprof/internal/leap"
 	"ormprof/internal/profiler"
-	"ormprof/internal/trace"
 )
 
 // CognizantLEAP is a phase-cognizant LEAP collector: records are buffered
@@ -91,12 +90,4 @@ func Quality(profiles map[int]*leap.Profile) (accessesPct float64, records uint6
 		return 100, records
 	}
 	return 100 * float64(captured) / float64(offered), records
-}
-
-// Observe is a convenience for feeding a raw event stream when no full LEAP
-// pipeline is wanted: it updates only the detector.
-func (c *CognizantLEAP) Observe(e trace.Event) {
-	if e.Kind == trace.EvAccess {
-		c.det.Observe(e.Instr)
-	}
 }

@@ -325,16 +325,6 @@ func Decode(data []byte) (*Plan, error) {
 	return p, nil
 }
 
-// Write encodes the plan to w.
-func Write(w io.Writer, p *Plan) error {
-	data, err := Encode(p)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
 // Read decodes a plan from r (reading to EOF).
 func Read(r io.Reader) (*Plan, error) {
 	data, err := io.ReadAll(io.LimitReader(r, int64(headerSize+MaxPayload+1)))

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzPlanReader throws arbitrary bytes at the ORMPLAN decoder. The decoder
+// FuzzPlanReader throws arbitrary bytes at the ORMPLAN reader. The decoder
 // must never panic or over-allocate, must reject non-canonical encodings,
 // and must round-trip exactly whatever it accepts.
 func FuzzPlanReader(f *testing.F) {
@@ -21,10 +21,10 @@ func FuzzPlanReader(f *testing.F) {
 	}
 	f.Add([]byte(Magic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Decode(data)
+		p, err := Read(bytes.NewReader(data))
 		if err != nil {
 			if !IsFormat(err) {
-				t.Fatalf("non-format error from Decode: %v", err)
+				t.Fatalf("non-format error from Read: %v", err)
 			}
 			return
 		}

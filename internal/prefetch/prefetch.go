@@ -72,13 +72,6 @@ func (p Plan) Instrs() []trace.InstrID {
 	return ids
 }
 
-// Footprint reports the plan's memory in bytes (O(1): entry count times
-// entry size), so a governed pipeline can account for it.
-func (p Plan) Footprint() int64 {
-	const entrySize = 4 + 16 + 8 // key + two rule fields + map overhead share
-	return int64(len(p)) * entrySize
-}
-
 // Rules exports the plan as sorted ORMPLAN prefetch rules.
 func (p Plan) Rules() []ormplan.PrefetchRule {
 	out := make([]ormplan.PrefetchRule, 0, len(p))
@@ -87,15 +80,6 @@ func (p Plan) Rules() []ormplan.PrefetchRule {
 		out = append(out, ormplan.PrefetchRule{Instr: id, Stride: r.Stride, Distance: r.Distance})
 	}
 	return out
-}
-
-// FromRules rebuilds a plan from serialized ORMPLAN rules.
-func FromRules(rules []ormplan.PrefetchRule) Plan {
-	p := make(Plan, len(rules))
-	for _, r := range rules {
-		p[r.Instr] = Rule{Stride: r.Stride, Distance: r.Distance}
-	}
-	return p
 }
 
 // Result compares demand misses without and with prefetching.
@@ -169,6 +153,6 @@ func Evaluate(recs []profiler.Record, resolve layout.Resolver, plan Plan, cfg ca
 // and evaluate against the original layout.
 func EvaluateProfile(recs []profiler.Record, o *omc.OMC, p *leap.Profile, cfg cachesim.Config) (Plan, Result) {
 	plan := BuildPlan(p, int64(cfg.LineBytes), DefaultLookahead)
-	resolve := layout.OriginalResolver(layout.OMCInfo{OMC: o})
+	resolve := layout.OriginalResolver(o)
 	return plan, Evaluate(recs, resolve, plan, cfg)
 }

@@ -83,6 +83,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add([]byte("abbbabcbb"), uint8(2), uint16(2), uint32(5))
 	f.Add(bytes.Repeat([]byte{7, 7, 3}, 40), uint8(3), uint16(0), uint32(1))
 	f.Add(bytes.Repeat([]byte{1, 2, 3, 4}, 9), uint8(4), uint16(0), uint32(0))
+	f.Add([]byte("abcbcabcbc"), uint8(5), uint16(62), uint32(1))
 
 	f.Fuzz(func(t *testing.T, data []byte, what uint8, at uint16, val uint32) {
 		in := make([]uint64, len(data))
@@ -98,7 +99,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		// Small values keep damaged rule references and positions landing
 		// on real rules and symbols.
 		id := val % (snap.NextID + 1)
-		switch what % 5 {
+		switch what % 6 {
 		case 0:
 			r := &snap.Rules[int(at)%len(snap.Rules)]
 			if len(r.Body) > 0 {
@@ -125,6 +126,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 			if !bytes.Equal(r.Encode(), g.Encode()) {
 				t.Fatal("undamaged snapshot restored to a different grammar")
 			}
+		case 5:
+			snap.Input += uint64(val) << (at % 64)
 		}
 		r, err := FromSnapshot(snap)
 		if err != nil {
@@ -133,6 +136,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatalf("restored grammar breaks invariants: %v", err)
 		}
-		r.Expand()
+		if out := r.Expand(); uint64(len(out)) != r.InputLen() {
+			t.Fatalf("restored grammar expands to %d terminals, InputLen %d", len(out), r.InputLen())
+		}
 	})
 }

@@ -3,6 +3,7 @@ package sequitur
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Grammar faults a live grammar never has. FromSnapshot and
@@ -19,6 +20,9 @@ var (
 	// ErrRepeatedDigram: a digram occurs twice other than as the
 	// overlapping pair inside a run of equal symbols.
 	ErrRepeatedDigram = errors.New("sequitur: repeated digram")
+	// ErrInputMismatch: the recorded input length is not the number of
+	// terminals the start rule expands to.
+	ErrInputMismatch = errors.New("sequitur: input length does not match the expansion")
 )
 
 // CheckInvariants verifies the two Sequitur invariants plus internal
@@ -95,7 +99,7 @@ func (g *Grammar) CheckInvariants() error {
 		rules[i] = g.rules[id]
 		rules[i].ord = uint32(i)
 	}
-	if err := acyclic(rules); err != nil {
+	if _, err := acyclic(rules); err != nil {
 		return err
 	}
 
@@ -123,8 +127,9 @@ func (g *Grammar) CheckInvariants() error {
 // acyclic checks that the rule references form a DAG whose only root is
 // the unreferenced rules, by Kahn's algorithm over the reference counts:
 // no recursion, O(symbols + rules) time. rules[i].ord must be i, and every
-// refs count exact.
-func acyclic(rules []*Rule) error {
+// refs count exact. It returns the rules in topological order: every rule
+// before the rules it references.
+func acyclic(rules []*Rule) ([]*Rule, error) {
 	pending := make([]int, len(rules))
 	queue := make([]*Rule, 0, len(rules))
 	for i, r := range rules {
@@ -146,13 +151,35 @@ func acyclic(rules []*Rule) error {
 		}
 	}
 	if len(queue) == len(rules) {
-		return nil
+		return queue, nil
 	}
 	// Every rule left over is on a cycle or reachable only through one.
 	for i, r := range rules {
 		if pending[i] > 0 {
-			return fmt.Errorf("%w: rule %d is on or below a cycle", ErrRuleCycle, r.ID)
+			return nil, fmt.Errorf("%w: rule %d is on or below a cycle", ErrRuleCycle, r.ID)
 		}
 	}
-	return nil
+	return queue, nil
+}
+
+// expansionLen returns how many terminals rule r expands to, saturating at
+// the largest uint64. order is acyclic's topological order, so walking it
+// backwards sizes every rule after the rules it references: one pass over
+// the bodies.
+func expansionLen(order []*Rule, r *Rule) uint64 {
+	n := make([]uint64, len(order)) // by Rule.ord
+	for i := len(order) - 1; i >= 0; i-- {
+		var total uint64
+		for s := order[i].first(); !s.guard; s = s.next {
+			add := uint64(1)
+			if s.rule != nil {
+				add = n[s.rule.ord]
+			}
+			if total += add; total < add {
+				total = math.MaxUint64
+			}
+		}
+		n[order[i].ord] = total
+	}
+	return n[r.ord]
 }

@@ -3,6 +3,7 @@ package sequitur
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // This file implements exact grammar snapshots: an exported, pure-data view
@@ -123,9 +124,10 @@ func (g *Grammar) digramIndexError() error {
 // A snapshot that could not have come from a live grammar is an error: a
 // structural fault (missing, duplicate or out-of-range rules and digram
 // refs), a reference to the start rule (ErrStartRuleRef), a rule used
-// fewer than twice (ErrUnderusedRule), a reference cycle (ErrRuleCycle) or
-// a repeated digram (ErrRepeatedDigram). A grammar FromSnapshot returns
-// therefore passes CheckInvariants, and its Expand terminates.
+// fewer than twice (ErrUnderusedRule), a reference cycle (ErrRuleCycle),
+// a repeated digram (ErrRepeatedDigram) or an Input that is not the start
+// rule's expansion length (ErrInputMismatch). A grammar FromSnapshot
+// returns therefore passes CheckInvariants, and its Expand terminates.
 func FromSnapshot(snap *Snapshot) (*Grammar, error) {
 	g := &Grammar{
 		rules:   make(map[uint32]*Rule, len(snap.Rules)),
@@ -196,7 +198,8 @@ func FromSnapshot(snap *Snapshot) (*Grammar, error) {
 			return nil, fmt.Errorf("%w: rule %d used %d time(s)", ErrUnderusedRule, r.ID, r.refs)
 		}
 	}
-	if err := acyclic(rules); err != nil {
+	order, err := acyclic(rules)
+	if err != nil {
 		return nil, err
 	}
 	// Pass 3: restore the digram index positionally.
@@ -239,6 +242,11 @@ func FromSnapshot(snap *Snapshot) (*Grammar, error) {
 				return nil, fmt.Errorf("%w: %v at rule %d index %d", ErrRepeatedDigram, k, r.ID, j-offs[i])
 			}
 		}
+	}
+	// Expand pre-sizes its output from Input, so Input must be what the
+	// start rule really expands to; a saturated length is never genuine.
+	if n := expansionLen(order, start); n != snap.Input || n == math.MaxUint64 {
+		return nil, fmt.Errorf("%w: start rule expands to %d terminals (saturating), snapshot says %d", ErrInputMismatch, n, snap.Input)
 	}
 	return g, nil
 }

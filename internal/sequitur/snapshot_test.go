@@ -3,6 +3,7 @@ package sequitur
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -179,6 +180,27 @@ func TestFromSnapshotRejectsCorrupt(t *testing.T) {
 		"run of four": {
 			corrupt: rules([]Sym{term(7), term(7), term(7), term(7)}),
 			want:    ErrRepeatedDigram,
+		},
+		"forged input": {
+			corrupt: func(s *Snapshot) { s.Input = 1 << 62 },
+			want:    ErrInputMismatch,
+		},
+		"input one short": {
+			corrupt: func(s *Snapshot) { s.Input-- },
+			want:    ErrInputMismatch,
+		},
+		"saturated expansion": {
+			corrupt: func(s *Snapshot) {
+				// Rule i doubles rule i+1: the start rule expands to
+				// 2^70 terminals, past uint64.
+				const depth = 70
+				*s = Snapshot{NextID: depth + 1, Input: math.MaxUint64}
+				for id := uint32(0); id < depth; id++ {
+					s.Rules = append(s.Rules, SnapshotRule{ID: id, Body: []Sym{ref(uint64(id) + 1), ref(uint64(id) + 1)}})
+				}
+				s.Rules = append(s.Rules, SnapshotRule{ID: depth, Body: []Sym{term(7), term(8)}})
+			},
+			want: ErrInputMismatch,
 		},
 	}
 	for name, c := range cases {

@@ -100,9 +100,9 @@ func (e Event) String() string {
 // Sink consumes probe events in program order. Implementations must not
 // retain the Event beyond the call (it may be reused by the producer).
 // A Sink is fed by a single goroutine; pipeline parallelism happens
-// behind a Sink (profiler.Async decouples the producer, and the
-// profiler.Sharded/Broadcast stages fan out downstream of translation),
-// never in front of one — event order is the time dimension.
+// behind a Sink (the profiler.Sharded/Broadcast stages fan out downstream
+// of translation), never in front of one — event order is the time
+// dimension.
 type Sink interface {
 	Emit(Event)
 }

@@ -206,6 +206,3 @@ func (t *Writer) Close() error {
 
 // BytesWritten reports the encoded size so far (flushed frames only).
 func (t *Writer) BytesWritten() int64 { return t.n }
-
-// Events reports how many events have been emitted.
-func (t *Writer) Events() int64 { return t.events }

@@ -13,7 +13,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 
 	"ormprof/internal/memsim"
 )
@@ -82,14 +81,6 @@ func New(name string, cfg Config) (memsim.Program, error) {
 	}
 }
 
-// OptimizeNames lists the nine workloads the optimization loop is evaluated
-// on: the seven Table 1 benchmarks plus the two layout showcases — hotcold
-// (clustering visibly wins) and chase (provably unimprovable data-dependent
-// chasing).
-func OptimizeNames() []string {
-	return append(Names(), "hotcold", "chase")
-}
-
 // All constructs the seven benchmarks in Table 1 order.
 func All(cfg Config) []memsim.Program {
 	names := Names()
@@ -101,15 +92,5 @@ func All(cfg Config) []memsim.Program {
 		}
 		out[i] = p
 	}
-	return out
-}
-
-// sortedAddrs returns map keys in ascending order (deterministic frees).
-func sortedAddrs[V any](m map[uint64]V) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
