@@ -131,9 +131,12 @@ vet:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
 # Short fuzz pass over every decoder that parses untrusted bytes: the trace
-# reader, the profile/grammar decoders, grammar snapshot restore, and the
+# reader, the profile/grammar decoders, grammar snapshot restore, the
 # ORMP/1 ingest paths (a live server connection, and the router's routing
-# path in front of a live shard). ~$(FUZZTIME) per target.
+# path in front of a live shard), and checkpoint restore. ~$(FUZZTIME) per
+# target. Minimizing one interesting checkpoint runs a full restore per
+# candidate, so that target caps minimization at 2s; the default minute
+# would use up the whole pass.
 fuzz-short:
 	$(GO) test -fuzz='^FuzzReader$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt/
 	$(GO) test -fuzz='^FuzzReaderResync$$' -fuzztime=$(FUZZTIME) ./internal/tracefmt/
@@ -148,6 +151,7 @@ fuzz-short:
 	$(GO) test -fuzz='^FuzzSession$$' -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz='^FuzzRouter$$' -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz='^FuzzRouterTable$$' -fuzztime=$(FUZZTIME) ./internal/checkpoint/
+	$(GO) test -fuzz='^FuzzCheckpointRestore$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/serve/
 	$(GO) test -fuzz='^FuzzCountMin$$' -fuzztime=$(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz='^FuzzBloom$$' -fuzztime=$(FUZZTIME) ./internal/sketch/
 

@@ -83,47 +83,59 @@ func BenchmarkExtCrossObjectStride(b *testing.B) {
 }
 
 // BenchmarkExtLayoutOptimization measures the §1/§3.2 payoff: L1 miss
-// reduction from profile-directed field reordering and object clustering.
-// Field orders come from PlanFields with each group's first object size as
-// the record size; clustering uses the streaming Planner's first-touch
-// placements, as `ormprof optimize` derives them.
+// reduction from profile-directed field reordering and object clustering
+// on 181.mcf, and from field reordering alone on 197.parser. Field orders
+// come from PlanFields with each group's first object size as the record
+// size; clustering uses the streaming Planner's first-touch placements, as
+// `ormprof optimize` derives them.
 func BenchmarkExtLayoutOptimization(b *testing.B) {
-	prog, err := workloads.New("181.mcf", benchCfg())
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf, sites := experiments.Record(prog, nil)
-	recs, o := profiler.TranslateTrace(buf.Events, sites)
-	orig := layout.OriginalResolver(o)
-
-	var fieldImp, clusterImp float64
-	for i := 0; i < b.N; i++ {
-		before, _ := layout.Evaluate(recs, orig, cachesim.L1D)
-
-		fields := &plan.Plan{}
-		for _, g := range o.Groups() {
-			objs := o.Objects(g.ID)
-			if len(objs) == 0 || objs[0].Size%layout.SlotSize != 0 || objs[0].Size < 2*layout.SlotSize {
-				continue
-			}
-			if f, err := layout.PlanFields(recs, g, objs[0].Size); err == nil {
-				fields.Fields = append(fields.Fields, f)
-			}
+	translate := func(name string) ([]profiler.Record, *omc.OMC) {
+		prog, err := workloads.New(name, benchCfg())
+		if err != nil {
+			b.Fatal(err)
 		}
-		afterF, _ := layout.Evaluate(recs, layout.PlanResolver(fields, o), cachesim.L1D)
-		fieldImp = layout.Improvement(before, afterF)
+		buf, sites := experiments.Record(prog, nil)
+		return profiler.TranslateTrace(buf.Events, sites)
+	}
+	mcfRecs, mcf := translate("181.mcf")
+	parserRecs, parser := translate("197.parser")
 
+	var fieldImp, clusterImp, parserFieldImp float64
+	for i := 0; i < b.N; i++ {
+		fieldImp = fieldReorderReduction(mcfRecs, mcf)
+		parserFieldImp = fieldReorderReduction(parserRecs, parser)
+
+		before, _ := layout.Evaluate(mcfRecs, layout.OriginalResolver(mcf), cachesim.L1D)
 		planner := layout.NewPlanner()
-		for _, r := range recs {
+		for _, r := range mcfRecs {
 			planner.Consume(r)
 		}
-		full := planner.BuildPlan("181.mcf", o)
+		full := planner.BuildPlan("181.mcf", mcf)
 		cluster := &plan.Plan{Region: full.Region, Placements: full.Placements}
-		afterC, _ := layout.Evaluate(recs, layout.PlanResolver(cluster, o), cachesim.L1D)
+		afterC, _ := layout.Evaluate(mcfRecs, layout.PlanResolver(cluster, mcf), cachesim.L1D)
 		clusterImp = layout.Improvement(before, afterC)
 	}
 	b.ReportMetric(fieldImp, "fieldreorder-miss-reduction%")
 	b.ReportMetric(clusterImp, "cluster-miss-reduction%")
+	b.ReportMetric(parserFieldImp, "parser-fieldreorder-miss-reduction%")
+}
+
+// fieldReorderReduction is the L1 miss reduction from hot-first field
+// orders alone, one per group whose first object spans at least two slots.
+func fieldReorderReduction(recs []profiler.Record, o *omc.OMC) float64 {
+	before, _ := layout.Evaluate(recs, layout.OriginalResolver(o), cachesim.L1D)
+	fields := &plan.Plan{}
+	for _, g := range o.Groups() {
+		objs := o.Objects(g.ID)
+		if len(objs) == 0 || objs[0].Size%layout.SlotSize != 0 || objs[0].Size < 2*layout.SlotSize {
+			continue
+		}
+		if f, err := layout.PlanFields(recs, g, objs[0].Size); err == nil {
+			fields.Fields = append(fields.Fields, f)
+		}
+	}
+	after, _ := layout.Evaluate(recs, layout.PlanResolver(fields, o), cachesim.L1D)
+	return layout.Improvement(before, after)
 }
 
 // BenchmarkExtHotStreamCoverage measures §3.2's hot-data-stream consumer:

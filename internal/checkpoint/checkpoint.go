@@ -10,13 +10,9 @@
 // acknowledge only checkpointed frames and still guarantee exactness
 // (see docs/ARCHITECTURE.md, "Service layer").
 //
-// On-disk container (see docs/FORMATS.md):
-//
-//	magic   "ORMCKPT" (7 bytes)
-//	version 1 byte (currently 1)
-//	length  8 bytes little-endian: payload byte count
-//	crc     4 bytes little-endian: CRC-32C (Castagnoli) of the payload
-//	payload gob-encoded State
+// On disk a checkpoint is the gob-encoded State, sealed by internal/codec
+// under magic "ORMCKPT" and version 1 (see docs/FORMATS.md, "Sealed
+// container").
 //
 // Writes are crash-atomic: Save writes <path>.tmp, fsyncs it, renames it
 // over <path>, and fsyncs the directory, so a reader never observes a
@@ -28,17 +24,16 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"ormprof/internal/atomicfile"
+	"ormprof/internal/codec"
 	"ormprof/internal/govern"
 	"ormprof/internal/leap"
 	"ormprof/internal/omc"
@@ -56,8 +51,6 @@ const (
 	// cannot drive a huge allocation.
 	MaxPayload = 1 << 30
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // CorruptError reports a structurally damaged checkpoint file. Resume
 // logic treats it as "checkpoint unusable" (start fresh), distinct from
@@ -142,55 +135,43 @@ func SortSites(m map[trace.SiteID]string) []SiteEntry {
 
 // Encode serializes the state into the container format.
 func Encode(st *State) ([]byte, error) {
+	return sealGob(Magic, Version, MaxPayload, st)
+}
+
+// sealGob gob-encodes v and seals the payload under magic and version.
+func sealGob(magic string, version byte, max int, v any) ([]byte, error) {
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return nil, fmt.Errorf("checkpoint: encode: %w", err)
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		return nil, fmt.Errorf("checkpoint: encode %s: %w", magic, err)
 	}
-	if payload.Len() > MaxPayload {
-		return nil, fmt.Errorf("checkpoint: payload %d bytes exceeds limit %d", payload.Len(), MaxPayload)
+	out, err := codec.Seal(magic, version, payload.Bytes(), max)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %s: %w", magic, err)
 	}
-	out := make([]byte, 0, len(Magic)+1+12+payload.Len())
-	out = append(out, Magic...)
-	out = append(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(payload.Len()))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload.Bytes(), crcTable))
-	out = append(out, payload.Bytes()...)
 	return out, nil
 }
 
 // Decode parses a container produced by Encode. path is used only for
 // error messages.
 func Decode(path string, data []byte) (*State, error) {
-	bad := func(format string, args ...any) (*State, error) {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf(format, args...)}
-	}
-	head := len(Magic) + 1 + 8 + 4
-	if len(data) < head {
-		return bad("file too short (%d bytes)", len(data))
-	}
-	if string(data[:len(Magic)]) != Magic {
-		return bad("bad magic")
-	}
-	if v := data[len(Magic)]; v != Version {
-		return bad("unsupported version %d", v)
-	}
-	n := binary.LittleEndian.Uint64(data[len(Magic)+1:])
-	if n > MaxPayload {
-		return bad("unreasonable payload length %d", n)
-	}
-	sum := binary.LittleEndian.Uint32(data[len(Magic)+9:])
-	payload := data[head:]
-	if uint64(len(payload)) != n {
-		return bad("payload is %d bytes, header says %d", len(payload), n)
-	}
-	if got := crc32.Checksum(payload, crcTable); got != sum {
-		return bad("payload CRC %#08x, header says %#08x", got, sum)
-	}
 	st := new(State)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(st); err != nil {
-		return bad("payload does not decode: %v", err)
+	if err := openGob(path, data, Magic, Version, MaxPayload, st); err != nil {
+		return nil, err
 	}
 	return st, nil
+}
+
+// openGob opens a sealed container and gob-decodes its payload into v.
+// Every failure is a *CorruptError labelled with path.
+func openGob(path string, data []byte, magic string, version byte, max int, v any) error {
+	payload, err := codec.Open(data, magic, version, max)
+	if err == nil {
+		err = gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
+	}
+	if err != nil {
+		return &CorruptError{Path: path, Reason: err.Error()}
+	}
+	return nil
 }
 
 // Save atomically writes the state to path: the container is written to
@@ -219,16 +200,26 @@ func writeAtomic(path string, data []byte) error {
 // an error satisfying errors.Is(err, os.ErrNotExist); a damaged file
 // returns a *CorruptError.
 func Load(path string) (*State, error) {
+	data, err := readFile(path, MaxPayload)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(path, data)
+}
+
+// readFile reads at most a sealed container's worth of bytes for a
+// payload bound of max from path; anything longer fails the length check.
+func readFile(path string, max int) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	data, err := io.ReadAll(io.LimitReader(f, MaxPayload+64))
+	data, err := io.ReadAll(io.LimitReader(f, int64(max)+64))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}
-	return Decode(path, data)
+	return data, nil
 }
 
 // PathFor returns the checkpoint path for a session in dir.

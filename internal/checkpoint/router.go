@@ -16,14 +16,10 @@ package checkpoint
 // replica holding an older epoch can be detected and refused instead of
 // silently resurrecting a retired topology.
 //
-// On-disk container (see docs/FORMATS.md):
-//
-//	magic   "ORMRTAB" (7 bytes)
-//	version 1 byte (2; the routes-only version 1 is rejected)
-//	length  8 bytes little-endian: payload byte count
-//	crc     4 bytes little-endian: CRC-32C (Castagnoli) of the payload
-//	payload gob-encoded RouterState: ring epoch (at least 1), shard list
-//	        in ring order, routes sorted by session ID
+// On disk the table is a gob-encoded RouterState — ring epoch (at least
+// 1), shard list in ring order, routes sorted by session ID — sealed by
+// internal/codec under magic "ORMRTAB" and version 2; the routes-only
+// version 1 is rejected (see docs/FORMATS.md, "Sealed container").
 //
 // Writes share Save's crash-atomic discipline, and a torn, bit-flipped or
 // unsupported table loads as a *CorruptError — the router treats that as
@@ -31,13 +27,7 @@ package checkpoint
 // always safe.
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"sort"
 )
 
@@ -91,19 +81,7 @@ func EncodeRouterTable(st *RouterState) ([]byte, error) {
 		g.Routes = append(g.Routes, Route{Session: s, Shard: sh})
 	}
 	sort.Slice(g.Routes, func(i, j int) bool { return g.Routes[i].Session < g.Routes[j].Session })
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&g); err != nil {
-		return nil, fmt.Errorf("checkpoint: encode router table: %w", err)
-	}
-	if payload.Len() > MaxRouterPayload {
-		return nil, fmt.Errorf("checkpoint: router table %d bytes exceeds limit %d", payload.Len(), MaxRouterPayload)
-	}
-	out := make([]byte, 0, len(RouterMagic)+1+12+payload.Len())
-	out = append(out, RouterMagic...)
-	out = append(out, RouterVersion)
-	out = binary.LittleEndian.AppendUint64(out, uint64(payload.Len()))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload.Bytes(), crcTable))
-	return append(out, payload.Bytes()...), nil
+	return sealGob(RouterMagic, RouterVersion, MaxRouterPayload, &g)
 }
 
 // DecodeRouterTable parses an ORMRTAB container from data. A damaged or
@@ -116,32 +94,9 @@ func DecodeRouterTable(path string, data []byte) (*RouterState, error) {
 	bad := func(format string, args ...any) (*RouterState, error) {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf(format, args...)}
 	}
-	head := len(RouterMagic) + 1 + 8 + 4
-	if len(data) < head {
-		return bad("file too short (%d bytes)", len(data))
-	}
-	if string(data[:len(RouterMagic)]) != RouterMagic {
-		return bad("bad magic")
-	}
-	version := data[len(RouterMagic)]
-	if version != RouterVersion {
-		return bad("unsupported version %d", version)
-	}
-	n := binary.LittleEndian.Uint64(data[len(RouterMagic)+1:])
-	if n > MaxRouterPayload {
-		return bad("unreasonable payload length %d", n)
-	}
-	sum := binary.LittleEndian.Uint32(data[len(RouterMagic)+9:])
-	payload := data[head:]
-	if uint64(len(payload)) != n {
-		return bad("payload is %d bytes, header says %d", len(payload), n)
-	}
-	if got := crc32.Checksum(payload, crcTable); got != sum {
-		return bad("payload CRC %#08x, header says %#08x", got, sum)
-	}
 	var g gobRouterState
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&g); err != nil {
-		return bad("payload does not decode: %v", err)
+	if err := openGob(path, data, RouterMagic, RouterVersion, MaxRouterPayload, &g); err != nil {
+		return nil, err
 	}
 	if g.Epoch == 0 {
 		return bad("epoch 0 (a table without topology)")
@@ -186,14 +141,9 @@ func SaveRouterTable(path string, st *RouterState) error {
 // file returns an error satisfying errors.Is(err, os.ErrNotExist); a
 // damaged file returns a *CorruptError.
 func LoadRouterTable(path string) (*RouterState, error) {
-	f, err := os.Open(path)
+	data, err := readFile(path, MaxRouterPayload)
 	if err != nil {
 		return nil, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(io.LimitReader(f, MaxRouterPayload+64))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}
 	return DecodeRouterTable(path, data)
 }

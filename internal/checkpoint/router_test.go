@@ -2,14 +2,14 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"ormprof/internal/codec"
 )
 
 func TestRouterTableRoundTrip(t *testing.T) {
@@ -130,11 +130,11 @@ func TestRouterTableInvalidContents(t *testing.T) {
 		if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
 			t.Fatal(err)
 		}
-		data := []byte(RouterMagic)
-		data = append(data, version)
-		data = binary.LittleEndian.AppendUint64(data, uint64(buf.Len()))
-		data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(buf.Bytes(), crcTable))
-		return append(data, buf.Bytes()...)
+		data, err := codec.Seal(RouterMagic, version, buf.Bytes(), MaxRouterPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
 	cases := map[string]gobRouterState{
 		"duplicate-shard":    {Epoch: 1, Shards: []string{"h:1", "h:1"}},

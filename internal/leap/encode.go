@@ -1,12 +1,14 @@
 package leap
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
+	"ormprof/internal/codec"
 	"ormprof/internal/lmad"
 	"ormprof/internal/omc"
 	"ormprof/internal/trace"
@@ -39,44 +41,52 @@ const leapMagic = "ORMLEAP1"
 // ErrBadProfile reports a malformed LEAP profile file.
 var ErrBadProfile = errors.New("leap: bad profile file")
 
+// maxString bounds the workload name ReadProfile accepts.
+const maxString = 1 << 20
+
 // EncodedSize returns the exact serialized size in bytes, which Table 1's
 // compression ratio uses.
 func (p *Profile) EncodedSize() int {
-	// Cheap and obviously correct: serialize into a counting writer.
-	n, err := p.WriteTo(io.Discard)
-	if err != nil {
-		return 0
-	}
-	return int(n)
+	return len(p.appendTo(nil))
 }
 
 // WriteTo serializes the profile.
 func (p *Profile) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &countingWriter{w: bw}
+	n, err := w.Write(p.appendTo(nil))
+	return int64(n), err
+}
 
-	cw.Write([]byte(leapMagic)) //nolint:errcheck // latched
-	writeString(cw, p.Workload)
-	writeUvarint(cw, p.Records)
+func appendVarints(b []byte, vs []int64) []byte {
+	for _, v := range vs {
+		b = binary.AppendVarint(b, v)
+	}
+	return b
+}
+
+// appendTo appends the profile's serialized form to b.
+func (p *Profile) appendTo(b []byte) []byte {
+	b = append(b, leapMagic...)
+	b = codec.AppendString(b, p.Workload)
+	b = binary.AppendUvarint(b, p.Records)
 
 	instrs := p.Instrs()
-	writeUvarint(cw, uint64(len(instrs)))
+	b = binary.AppendUvarint(b, uint64(len(instrs)))
 	for _, id := range instrs {
-		writeUvarint(cw, uint64(id))
-		writeUvarint(cw, p.InstrExecs[id])
-		b := byte(0)
+		b = binary.AppendUvarint(b, uint64(id))
+		b = binary.AppendUvarint(b, p.InstrExecs[id])
+		store := byte(0)
 		if p.InstrStore[id] {
-			b = 1
+			store = 1
 		}
-		cw.Write([]byte{b}) //nolint:errcheck // latched
+		b = append(b, store)
 	}
 
 	keys := p.Keys()
-	writeUvarint(cw, uint64(len(keys)))
+	b = binary.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
 		s := p.Streams[k]
-		writeUvarint(cw, uint64(k.Instr))
-		writeUvarint(cw, uint64(k.Group))
+		b = binary.AppendUvarint(b, uint64(k.Instr))
+		b = binary.AppendUvarint(b, uint64(k.Group))
 		flags := byte(0)
 		if s.Store {
 			flags |= 1
@@ -87,267 +97,93 @@ func (p *Profile) WriteTo(w io.Writer) (int64, error) {
 		if s.OffsetOverflowed {
 			flags |= 4
 		}
-		cw.Write([]byte{flags}) //nolint:errcheck // latched
-		writeUvarint(cw, s.Offered)
-		writeUvarint(cw, s.Captured)
-		writeUvarint(cw, s.OffsetCaptured)
-		writeUvarint(cw, uint64(len(s.LMADs)))
+		b = append(b, flags)
+		b = binary.AppendUvarint(b, s.Offered)
+		b = binary.AppendUvarint(b, s.Captured)
+		b = binary.AppendUvarint(b, s.OffsetCaptured)
+		b = binary.AppendUvarint(b, uint64(len(s.LMADs)))
 		for i := range s.LMADs {
 			l := &s.LMADs[i]
-			for d := 0; d < NumDims; d++ {
-				writeVarint(cw, l.Start[d])
-			}
-			for d := 0; d < NumDims; d++ {
-				writeVarint(cw, l.Stride[d])
-			}
-			writeUvarint(cw, uint64(l.Count))
+			b = appendVarints(b, l.Start[:NumDims])
+			b = appendVarints(b, l.Stride[:NumDims])
+			b = binary.AppendUvarint(b, uint64(l.Count))
 		}
 		if s.Overflowed {
-			for d := 0; d < NumDims; d++ {
-				writeVarint(cw, s.Summary.Min[d])
-			}
-			for d := 0; d < NumDims; d++ {
-				writeVarint(cw, s.Summary.Max[d])
-			}
-			for d := 0; d < NumDims; d++ {
-				writeVarint(cw, s.Summary.Granularity[d])
-			}
-			writeUvarint(cw, s.Summary.Points)
+			b = appendVarints(b, s.Summary.Min[:NumDims])
+			b = appendVarints(b, s.Summary.Max[:NumDims])
+			b = appendVarints(b, s.Summary.Granularity[:NumDims])
+			b = binary.AppendUvarint(b, s.Summary.Points)
 		}
-		writeUvarint(cw, uint64(len(s.OffsetLMADs)))
+		b = binary.AppendUvarint(b, uint64(len(s.OffsetLMADs)))
 		for i := range s.OffsetLMADs {
 			l := &s.OffsetLMADs[i]
-			for d := 0; d < 2; d++ {
-				writeVarint(cw, l.Start[d])
-			}
-			for d := 0; d < 2; d++ {
-				writeVarint(cw, l.Stride[d])
-			}
-			writeUvarint(cw, uint64(l.Count))
-			writeUvarint(cw, uint64(l.Reps))
+			b = appendVarints(b, l.Start[:2])
+			b = appendVarints(b, l.Stride[:2])
+			b = binary.AppendUvarint(b, uint64(l.Count))
+			b = binary.AppendUvarint(b, uint64(l.Reps))
 		}
 	}
-	if cw.err != nil {
-		return cw.n, cw.err
+	return b
+}
+
+func readVarints(c *codec.Cursor, n int) []int64 {
+	vs := make([]int64, n)
+	for i := range vs {
+		vs[i] = c.Varint()
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	return vs
 }
 
 // ReadProfile parses a profile written by WriteTo.
 func ReadProfile(r io.Reader) (*Profile, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(leapMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProfile, err)
 	}
-	if string(magic) != leapMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadProfile, magic)
+	if !bytes.HasPrefix(data, []byte(leapMagic)) {
+		return nil, fmt.Errorf("%w: bad magic", ErrBadProfile)
 	}
+	c := codec.NewCursor(data[len(leapMagic):])
 	p := &Profile{
+		Workload:   c.String(maxString),
+		Records:    c.Uvarint(),
 		Streams:    make(map[StreamKey]*Stream),
 		InstrExecs: make(map[trace.InstrID]uint64),
 		InstrStore: make(map[trace.InstrID]bool),
 	}
-	var err error
-	if p.Workload, err = readString(br); err != nil {
-		return nil, err
+	nInstr := c.Count(math.MaxUint64)
+	for i := 0; i < nInstr; i++ {
+		id, execs, store := trace.InstrID(c.Uvarint()), c.Uvarint(), c.Byte()
+		p.InstrExecs[id] = execs
+		p.InstrStore[id] = store == 1
 	}
-	if p.Records, err = readUvarint(br); err != nil {
-		return nil, err
-	}
-	nInstr, err := readUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nInstr; i++ {
-		id, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		execs, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadProfile, err)
-		}
-		p.InstrExecs[trace.InstrID(id)] = execs
-		p.InstrStore[trace.InstrID(id)] = b == 1
-	}
-	nStreams, err := readUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nStreams; i++ {
-		var s Stream
-		instr, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		group, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		s.Key = StreamKey{Instr: trace.InstrID(instr), Group: omc.GroupID(group)}
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadProfile, err)
-		}
+	nStreams := c.Count(math.MaxUint64)
+	for i := 0; i < nStreams; i++ {
+		s := &Stream{Key: StreamKey{Instr: trace.InstrID(c.Uvarint()), Group: omc.GroupID(c.Uvarint())}}
+		flags := c.Byte()
 		s.Store = flags&1 != 0
 		s.Overflowed = flags&2 != 0
 		s.OffsetOverflowed = flags&4 != 0
-		if s.Offered, err = readUvarint(br); err != nil {
-			return nil, err
-		}
-		if s.Captured, err = readUvarint(br); err != nil {
-			return nil, err
-		}
-		if s.OffsetCaptured, err = readUvarint(br); err != nil {
-			return nil, err
-		}
-		nL, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < nL; j++ {
-			l := lmad.LMAD{Start: make([]int64, NumDims), Stride: make([]int64, NumDims)}
-			for d := 0; d < NumDims; d++ {
-				if l.Start[d], err = readVarint(br); err != nil {
-					return nil, err
-				}
-			}
-			for d := 0; d < NumDims; d++ {
-				if l.Stride[d], err = readVarint(br); err != nil {
-					return nil, err
-				}
-			}
-			cnt, err := readUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			l.Count = uint32(cnt)
-			s.LMADs = append(s.LMADs, l)
+		s.Offered, s.Captured, s.OffsetCaptured = c.Uvarint(), c.Uvarint(), c.Uvarint()
+		for j, n := 0, c.Count(math.MaxUint64); j < n; j++ {
+			s.LMADs = append(s.LMADs, lmad.LMAD{
+				Start: readVarints(&c, NumDims), Stride: readVarints(&c, NumDims), Count: uint32(c.Uvarint())})
 		}
 		if s.Overflowed {
-			s.Summary.Min = make([]int64, NumDims)
-			s.Summary.Max = make([]int64, NumDims)
-			s.Summary.Granularity = make([]int64, NumDims)
-			for d := 0; d < NumDims; d++ {
-				if s.Summary.Min[d], err = readVarint(br); err != nil {
-					return nil, err
-				}
-			}
-			for d := 0; d < NumDims; d++ {
-				if s.Summary.Max[d], err = readVarint(br); err != nil {
-					return nil, err
-				}
-			}
-			for d := 0; d < NumDims; d++ {
-				if s.Summary.Granularity[d], err = readVarint(br); err != nil {
-					return nil, err
-				}
-			}
-			if s.Summary.Points, err = readUvarint(br); err != nil {
-				return nil, err
-			}
+			s.Summary.Min = readVarints(&c, NumDims)
+			s.Summary.Max = readVarints(&c, NumDims)
+			s.Summary.Granularity = readVarints(&c, NumDims)
+			s.Summary.Points = c.Uvarint()
 		}
-		nOff, err := readUvarint(br)
-		if err != nil {
-			return nil, err
+		for j, n := 0, c.Count(math.MaxUint64); j < n; j++ {
+			s.OffsetLMADs = append(s.OffsetLMADs, lmad.RepLMAD{
+				LMAD: lmad.LMAD{Start: readVarints(&c, 2), Stride: readVarints(&c, 2), Count: uint32(c.Uvarint())},
+				Reps: uint32(c.Uvarint())})
 		}
-		for j := uint64(0); j < nOff; j++ {
-			l := lmad.RepLMAD{LMAD: lmad.LMAD{Start: make([]int64, 2), Stride: make([]int64, 2)}}
-			for d := 0; d < 2; d++ {
-				if l.Start[d], err = readVarint(br); err != nil {
-					return nil, err
-				}
-			}
-			for d := 0; d < 2; d++ {
-				if l.Stride[d], err = readVarint(br); err != nil {
-					return nil, err
-				}
-			}
-			cnt, err := readUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			l.Count = uint32(cnt)
-			reps, err := readUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			l.Reps = uint32(reps)
-			s.OffsetLMADs = append(s.OffsetLMADs, l)
-		}
-		p.Streams[s.Key] = &s
+		p.Streams[s.Key] = s
+	}
+	if err := c.End(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadProfile, err)
 	}
 	return p, nil
-}
-
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
-}
-
-func writeUvarint(w io.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n]) //nolint:errcheck // countingWriter latches the error
-}
-
-func writeVarint(w io.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n]) //nolint:errcheck // countingWriter latches the error
-}
-
-func writeString(w io.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	io.WriteString(w, s) //nolint:errcheck // countingWriter latches the error
-}
-
-func readUvarint(br *bufio.Reader) (uint64, error) {
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadProfile, err)
-	}
-	return v, nil
-}
-
-func readVarint(br *bufio.Reader) (int64, error) {
-	v, err := binary.ReadVarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadProfile, err)
-	}
-	return v, nil
-}
-
-func readString(br *bufio.Reader) (string, error) {
-	n, err := readUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("%w: unreasonable string length %d", ErrBadProfile, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadProfile, err)
-	}
-	return string(buf), nil
 }

@@ -2,6 +2,7 @@ package leap
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"ormprof/internal/memsim"
@@ -209,6 +210,27 @@ func TestReadProfileRejectsGarbage(t *testing.T) {
 		if _, err := ReadProfile(bytes.NewReader(full.Bytes()[:cut])); err == nil {
 			t.Fatalf("truncated profile (%d of %d bytes) accepted", cut, full.Len())
 		}
+	}
+}
+
+// TestReadProfileRejectsPaddedVarint: the workload-name length written in
+// a two-byte, non-minimal form is refused, so every profile has one byte
+// form (docs/FORMATS.md, "Varints").
+func TestReadProfileRejectsPaddedVarint(t *testing.T) {
+	buf := syntheticTrace()
+	p := New(nil, 0)
+	buf.Replay(p)
+	var full bytes.Buffer
+	if _, err := p.Profile("x").WriteTo(&full); err != nil {
+		t.Fatal(err)
+	}
+	b := full.Bytes()
+	if b[len(leapMagic)] != 1 {
+		t.Fatalf("workload length byte %#x, want 1", b[len(leapMagic)])
+	}
+	padded := append(append([]byte(leapMagic), 0x81, 0x00), b[len(leapMagic)+1:]...)
+	if _, err := ReadProfile(bytes.NewReader(padded)); !errors.Is(err, ErrBadProfile) {
+		t.Errorf("padded varint: err %v, want ErrBadProfile", err)
 	}
 }
 

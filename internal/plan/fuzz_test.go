@@ -3,6 +3,8 @@ package plan
 import (
 	"bytes"
 	"testing"
+
+	"ormprof/internal/codec"
 )
 
 // FuzzPlanReader throws arbitrary bytes at the ORMPLAN reader. The decoder
@@ -13,7 +15,7 @@ func FuzzPlanReader(f *testing.F) {
 		f.Add(seed)
 		f.Add(seed[:len(seed)-2])
 		flip := append([]byte(nil), seed...)
-		flip[headerSize+3] ^= 0x40
+		flip[len(Magic)+codec.SealOverhead+3] ^= 0x40
 		f.Add(flip)
 	}
 	if empty, err := Encode(&Plan{}); err == nil {

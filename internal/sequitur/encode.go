@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+
+	"ormprof/internal/codec"
 )
 
 // Grammar serialization: a compact varint wire format used both to persist
@@ -111,49 +114,25 @@ var ErrCorrupt = errors.New("sequitur: corrupt serialized grammar")
 
 // Decode parses the output of Encode.
 func Decode(buf []byte) (*Decoded, error) {
-	ruleCount, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: rule count", ErrCorrupt)
-	}
-	buf = buf[n:]
-	// Every rule needs at least one byte (its body length), so a count
-	// beyond the remaining input is corrupt — and must be rejected before
-	// it reaches make.
-	if ruleCount > uint64(len(buf)) {
-		return nil, fmt.Errorf("%w: rule count %d exceeds input", ErrCorrupt, ruleCount)
-	}
+	c := codec.NewCursor(buf)
+	// Every rule and every symbol costs at least one byte, so Count
+	// rejects a rule count or body length beyond the remaining input
+	// before it reaches make.
+	ruleCount := c.Count(math.MaxUint64)
 	d := &Decoded{Rules: make([][]Sym, ruleCount)}
 	for i := range d.Rules {
-		bodyLen, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: body length of rule %d", ErrCorrupt, i)
-		}
-		buf = buf[n:]
-		// Each symbol costs at least one byte.
-		if bodyLen > uint64(len(buf)) {
-			return nil, fmt.Errorf("%w: rule %d body length %d exceeds input", ErrCorrupt, i, bodyLen)
-		}
-		body := make([]Sym, bodyLen)
+		body := make([]Sym, c.Count(math.MaxUint64))
 		for j := range body {
-			tag, n := binary.Uvarint(buf)
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: symbol %d of rule %d", ErrCorrupt, j, i)
+			tag := c.Uvarint()
+			if tag&1 == 1 && tag>>1 >= uint64(ruleCount) {
+				return nil, fmt.Errorf("%w: rule %d references out-of-range rule %d", ErrCorrupt, i, tag>>1)
 			}
-			buf = buf[n:]
-			if tag&1 == 1 {
-				ref := tag >> 1
-				if ref >= ruleCount {
-					return nil, fmt.Errorf("%w: rule %d references out-of-range rule %d", ErrCorrupt, i, ref)
-				}
-				body[j] = Sym{Value: ref, IsRule: true}
-			} else {
-				body[j] = Sym{Value: tag >> 1}
-			}
+			body[j] = Sym{Value: tag >> 1, IsRule: tag&1 == 1}
 		}
 		d.Rules[i] = body
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
+	if err := c.End(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return d, nil
 }

@@ -1,6 +1,7 @@
 package sequitur
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -222,6 +223,14 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 	if _, err := d.Expand(); err == nil {
 		t.Error("Expand of cyclic grammar should fail")
+	}
+	// One rule holding terminal 1, then the same grammar with its rule
+	// count in a padded (non-minimal) two-byte form.
+	if _, err := Decode([]byte{1, 1, 2}); err != nil {
+		t.Fatalf("Decode(minimal): %v", err)
+	}
+	if _, err := Decode([]byte{0x81, 0x00, 1, 2}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Decode(padded varint) = %v, want ErrCorrupt", err)
 	}
 }
 

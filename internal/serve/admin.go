@@ -29,12 +29,14 @@ package serve
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"time"
 
 	"ormprof/internal/checkpoint"
+	"ormprof/internal/codec"
 )
 
 // AdminMagic is the admin-connection preamble: protocol name + version.
@@ -77,31 +79,20 @@ func encodeAdminErr(err error) []byte {
 	if se, ok := err.(*StaleEpochError); ok {
 		code, have, got = adminErrStaleEpoch, se.Have, se.Got
 	}
-	b := uvarintBody(code)
-	b = append(b, uvarintBody(have)...)
-	b = append(b, uvarintBody(got)...)
-	return appendString(b, err.Error())
+	b := binary.AppendUvarint(nil, code)
+	b = binary.AppendUvarint(b, have)
+	b = binary.AppendUvarint(b, got)
+	return codec.AppendString(b, err.Error())
 }
 
 // decodeAdminErr reverses encodeAdminErr, resurrecting the typed
 // *StaleEpochError when the code says so.
 func decodeAdminErr(body []byte) error {
-	sc := &byteScanner{data: body}
-	code, err := sc.uvarint()
-	if err != nil {
-		return protof("AdminErr body lacks a code")
-	}
-	have, err := sc.uvarint()
-	if err != nil {
-		return protof("AdminErr body lacks a have-epoch")
-	}
-	got, err := sc.uvarint()
-	if err != nil {
-		return protof("AdminErr body lacks a got-epoch")
-	}
-	msg, err := sc.str(4096)
-	if err != nil {
-		return err
+	c := codec.NewCursor(body)
+	code, have, got := c.Uvarint(), c.Uvarint(), c.Uvarint()
+	msg := c.String(4096)
+	if err := c.Err(); err != nil {
+		return protof("AdminErr body: %v", err)
 	}
 	if code == adminErrStaleEpoch {
 		return &StaleEpochError{Have: have, Got: got}
@@ -111,22 +102,17 @@ func decodeAdminErr(body []byte) error {
 
 // encodeShardCmd builds an AdminAddShard/AdminRemoveShard body.
 func encodeShardCmd(epoch uint64, addr string) []byte {
-	return appendString(uvarintBody(epoch), addr)
+	return codec.AppendString(binary.AppendUvarint(nil, epoch), addr)
 }
 
 func decodeShardCmd(body []byte) (epoch uint64, addr string, err error) {
-	sc := &byteScanner{data: body}
-	if epoch, err = sc.uvarint(); err != nil {
-		return 0, "", protof("shard command lacks an epoch")
-	}
-	if addr, err = sc.str(MaxAddrHintLen); err != nil {
-		return 0, "", err
+	c := codec.NewCursor(body)
+	epoch, addr = c.Uvarint(), c.String(MaxAddrHintLen)
+	if err := c.End(); err != nil {
+		return 0, "", protof("shard command: %v", err)
 	}
 	if addr == "" {
 		return 0, "", protof("shard command with empty address")
-	}
-	if sc.off != len(body) {
-		return 0, "", protof("%d trailing bytes after shard command", len(body)-sc.off)
 	}
 	return epoch, addr, nil
 }
@@ -228,7 +214,7 @@ func (r *Router) handleAdmin(conn net.Conn) {
 				}
 				continue
 			}
-			if !reply(AdminOK, uvarintBody(newEpoch)) {
+			if !reply(AdminOK, binary.AppendUvarint(nil, newEpoch)) {
 				return
 			}
 		case AdminPush:
@@ -243,7 +229,7 @@ func (r *Router) handleAdmin(conn net.Conn) {
 				}
 				continue
 			}
-			if !reply(AdminOK, uvarintBody(st.Epoch)) {
+			if !reply(AdminOK, binary.AppendUvarint(nil, st.Epoch)) {
 				return
 			}
 		default:
@@ -364,7 +350,7 @@ func AdminPullTable(addr string, have uint64, timeout time.Duration) (*checkpoin
 		return nil, err
 	}
 	defer c.close()
-	body, err := c.roundTrip(AdminPull, uvarintBody(have), AdminTable)
+	body, err := c.roundTrip(AdminPull, binary.AppendUvarint(nil, have), AdminTable)
 	if err != nil {
 		return nil, err
 	}

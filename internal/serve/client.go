@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -399,7 +400,7 @@ func pushOnce(ctx context.Context, cfg *ClientConfig, src FrameSource, stats *Cl
 		next++
 	}
 	conn.SetWriteDeadline(time.Now().Add(cfg.AttemptTimeout))
-	if err := writeMsg(bw, MsgDone, uvarintBody(total)); err != nil {
+	if err := writeMsg(bw, MsgDone, binary.AppendUvarint(nil, total)); err != nil {
 		return fail(err)
 	}
 	if err := bw.Flush(); err != nil {

@@ -131,6 +131,9 @@ func newPipeline(workload string, sites map[trace.SiteID]string, maxLMADs int, b
 func pipelineFromState(st *checkpoint.State, maxLMADs int, budget *govern.Budget, governed bool) (*pipeline, error) {
 	var mode *pipelineMode
 	if st.Ladder == nil || st.Ladder.Rung.FullPipeline() {
+		if st.WhompOMC == nil || st.Whomp == nil || st.LeapOMC == nil || st.Leap == nil || st.Stride == nil {
+			return nil, fmt.Errorf("serve: checkpoint on a full-pipeline rung lacks a component snapshot")
+		}
 		wOMC, err := omc.FromSnapshot(st.WhompOMC)
 		if err != nil {
 			return nil, fmt.Errorf("serve: restore WHOMP OMC: %w", err)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -78,7 +79,7 @@ func TestRetryRedirectWire(t *testing.T) {
 			t.Errorf("round trip (%d,%q) = (%d,%q)", tc.ms, tc.addr, ms, addr)
 		}
 	}
-	if got := encodeRetry(250, ""); len(got) != len(uvarintBody(250)) {
+	if got := encodeRetry(250, ""); len(got) != len(binary.AppendUvarint(nil, 250)) {
 		t.Errorf("bare Retry body grew to %d bytes", len(got))
 	}
 	if _, _, err := decodeRetry(append(encodeRetry(5, "a:1"), 0xFF)); err == nil {

@@ -125,6 +125,26 @@ func TestWireHelloRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireRejectsPaddedVarint: ORMP/1 Hello and ORMA/1 shard-command
+// bodies whose first varint is padded to a non-minimal two-byte form are
+// protocol errors (docs/FORMATS.md, "Varints").
+func TestWireRejectsPaddedVarint(t *testing.T) {
+	hello := []byte{0x02, 's', '1', 0x01, 'w', 0x00}
+	if _, err := decodeHello(hello); err != nil {
+		t.Fatalf("minimal Hello: %v", err)
+	}
+	if _, err := decodeHello(append([]byte{0x82, 0x00}, hello[1:]...)); !errors.Is(err, ErrProtocol) {
+		t.Errorf("padded Hello: err %v, want ErrProtocol", err)
+	}
+	cmd := encodeShardCmd(5, "h:1")
+	if _, _, err := decodeShardCmd(cmd); err != nil {
+		t.Fatalf("minimal shard command: %v", err)
+	}
+	if _, _, err := decodeShardCmd(append([]byte{0x85, 0x00}, cmd[1:]...)); !errors.Is(err, ErrProtocol) {
+		t.Errorf("padded shard command: err %v, want ErrProtocol", err)
+	}
+}
+
 func TestPushCompleteStream(t *testing.T) {
 	testutil.LeakCheck(t)
 	frames, sites, events := makeFrames(t, "linkedlist", 256)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -591,7 +592,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	retry := func() {
-		writeMsg(bw, MsgRetry, uvarintBody(uint64(s.cfg.RetryAfter.Milliseconds())))
+		writeMsg(bw, MsgRetry, binary.AppendUvarint(nil, uint64(s.cfg.RetryAfter.Milliseconds())))
 		bw.Flush()
 	}
 	if ok, reason := s.admit(); !ok {
@@ -612,7 +613,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	defer s.release(st)
 	s.cfg.Logf("session %s: connected, resuming at frame %d", st.id, st.pl.framesApplied)
-	if err := writeMsg(bw, MsgWelcome, uvarintBody(st.pl.framesApplied)); err != nil {
+	if err := writeMsg(bw, MsgWelcome, binary.AppendUvarint(nil, st.pl.framesApplied)); err != nil {
 		return
 	}
 	if err := bw.Flush(); err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -79,7 +80,7 @@ func (s *Server) checkpointAndAck(conn net.Conn, bw *bufio.Writer, st *sessionSt
 	if !s.saveCheckpoint(st) {
 		return false
 	}
-	return s.sendMsg(conn, bw, MsgAck, uvarintBody(st.acked)) == nil
+	return s.sendMsg(conn, bw, MsgAck, binary.AppendUvarint(nil, st.acked)) == nil
 }
 
 // saveCheckpoint persists the session state without acknowledging
@@ -242,7 +243,7 @@ func (s *Server) finishSession(conn net.Conn, bw *bufio.Writer, st *sessionState
 			return
 		}
 	}
-	s.sendMsg(conn, bw, MsgBye, uvarintBody(st.pl.framesApplied))
+	s.sendMsg(conn, bw, MsgBye, binary.AppendUvarint(nil, st.pl.framesApplied))
 	s.cfg.Logf("session %s: complete (%d frames, %d events)", st.id, st.pl.framesApplied, st.pl.eventsApplied)
 	s.complete(st)
 }

@@ -38,6 +38,7 @@ import (
 	"io"
 	"sort"
 
+	"ormprof/internal/codec"
 	"ormprof/internal/trace"
 	"ormprof/internal/tracefmt"
 )
@@ -120,15 +121,8 @@ func readMsg(br *bufio.Reader) (MsgType, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	n, err := binary.ReadUvarint(br)
+	body, err := codec.ReadBytes(br, MaxBody)
 	if err != nil {
-		return 0, nil, protof("message length: %v", err)
-	}
-	if n > MaxBody {
-		return 0, nil, protof("message body %d bytes exceeds limit %d", n, MaxBody)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
 		return 0, nil, protof("message body: %v", err)
 	}
 	return MsgType(tb), body, nil
@@ -138,49 +132,24 @@ func readMsg(br *bufio.Reader) (MsgType, []byte, error) {
 // bytes as they appeared on the wire (type byte, length prefix, body), so
 // the router can forward a message verbatim — ORMP/1 shard-to-shard is
 // the same protocol, not a re-encoding, and byte-level forwarding is what
-// guarantees it.
+// guarantees it. readMsg accepts only minimal length prefixes, so
+// re-encoding the length reproduces the wire bytes exactly.
 func readRawMsg(br *bufio.Reader) (mt MsgType, raw, body []byte, err error) {
-	tb, err := br.ReadByte()
+	mt, body, err = readMsg(br)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	raw = append(raw, tb)
-	var n uint64
-	for shift := uint(0); ; shift += 7 {
-		if shift >= 64 {
-			return 0, nil, nil, protof("message length overflows uvarint")
-		}
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, nil, nil, protof("message length: %v", err)
-		}
-		raw = append(raw, b)
-		n |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			break
-		}
-	}
-	if n > MaxBody {
-		return 0, nil, nil, protof("message body %d bytes exceeds limit %d", n, MaxBody)
-	}
-	body = make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return 0, nil, nil, protof("message body: %v", err)
-	}
-	return MsgType(tb), append(raw, body...), body, nil
+	raw = binary.AppendUvarint([]byte{byte(mt)}, uint64(len(body)))
+	return mt, append(raw, body...), body, nil
 }
 
-// uvarintBody encodes the single-uvarint body shared by Welcome, Retry,
-// Ack, Bye, Done, and the Frame index prefix.
-func uvarintBody(v uint64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	return append([]byte(nil), buf[:binary.PutUvarint(buf[:], v)]...)
-}
-
+// parseUvarintBody decodes the single-uvarint body shared by Welcome,
+// Retry, Ack, Bye, Done and AdminOK.
 func parseUvarintBody(t MsgType, body []byte) (uint64, error) {
-	v, n := binary.Uvarint(body)
-	if n <= 0 || n != len(body) {
-		return 0, protof("%s body is not a single uvarint", t)
+	c := codec.NewCursor(body)
+	v := c.Uvarint()
+	if err := c.End(); err != nil {
+		return 0, protof("%s body is not a single uvarint: %v", t, err)
 	}
 	return v, nil
 }
@@ -195,26 +164,22 @@ const MaxAddrHintLen = 256
 // tells a client where the active router lives (see Router standby mode)
 // without inventing a new message type.
 func encodeRetry(ms uint64, addr string) []byte {
-	b := uvarintBody(ms)
+	b := binary.AppendUvarint(nil, ms)
 	if addr != "" {
-		b = appendString(b, addr)
+		b = codec.AppendString(b, addr)
 	}
 	return b
 }
 
 // decodeRetry parses a Retry body in either form.
 func decodeRetry(body []byte) (ms uint64, addr string, err error) {
-	sc := &byteScanner{data: body}
-	if ms, err = sc.uvarint(); err != nil {
-		return 0, "", protof("Retry body lacks a delay")
+	c := codec.NewCursor(body)
+	ms = c.Uvarint()
+	if c.Err() == nil && c.Len() > 0 {
+		addr = c.String(MaxAddrHintLen)
 	}
-	if sc.off < len(body) {
-		if addr, err = sc.str(MaxAddrHintLen); err != nil {
-			return 0, "", err
-		}
-	}
-	if sc.off != len(body) {
-		return 0, "", protof("%d trailing bytes after Retry body", len(body)-sc.off)
+	if err := c.End(); err != nil {
+		return 0, "", protof("Retry body: %v", err)
 	}
 	return ms, addr, nil
 }
@@ -227,99 +192,40 @@ type Hello struct {
 	Sites     map[trace.SiteID]string
 }
 
-func appendString(b []byte, s string) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	b = append(b, buf[:binary.PutUvarint(buf[:], uint64(len(s)))]...)
-	return append(b, s...)
-}
-
 func encodeHello(h *Hello) []byte {
-	var b []byte
-	b = appendString(b, h.SessionID)
-	b = appendString(b, h.Workload)
+	b := codec.AppendString(nil, h.SessionID)
+	b = codec.AppendString(b, h.Workload)
 	ids := make([]trace.SiteID, 0, len(h.Sites))
 	for id := range h.Sites {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var buf [binary.MaxVarintLen64]byte
-	b = append(b, buf[:binary.PutUvarint(buf[:], uint64(len(ids)))]...)
+	b = binary.AppendUvarint(b, uint64(len(ids)))
 	for _, id := range ids {
-		b = append(b, buf[:binary.PutUvarint(buf[:], uint64(id))]...)
-		b = appendString(b, h.Sites[id])
+		b = binary.AppendUvarint(b, uint64(id))
+		b = codec.AppendString(b, h.Sites[id])
 	}
 	return b
 }
 
-type byteScanner struct {
-	data []byte
-	off  int
-}
-
-func (s *byteScanner) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(s.data[s.off:])
-	if n <= 0 {
-		return 0, protof("malformed uvarint in handshake")
-	}
-	s.off += n
-	return v, nil
-}
-
-func (s *byteScanner) str(maxLen uint64) (string, error) {
-	n, err := s.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxLen {
-		return "", protof("handshake string %d bytes exceeds limit %d", n, maxLen)
-	}
-	if uint64(len(s.data)-s.off) < n {
-		return "", protof("truncated handshake string")
-	}
-	out := string(s.data[s.off : s.off+int(n)])
-	s.off += int(n)
-	return out, nil
-}
-
 func decodeHello(body []byte) (*Hello, error) {
-	sc := &byteScanner{data: body}
-	h := &Hello{}
-	var err error
-	if h.SessionID, err = sc.str(MaxSessionIDLen); err != nil {
-		return nil, err
+	c := codec.NewCursor(body)
+	h := &Hello{SessionID: c.String(MaxSessionIDLen), Workload: c.String(tracefmt.MaxNameLen)}
+	if nSites := c.Count(tracefmt.MaxSites); nSites > 0 {
+		h.Sites = make(map[trace.SiteID]string, nSites)
+		for i := 0; i < nSites; i++ {
+			id := c.Uvarint()
+			if id > uint64(^trace.SiteID(0)) {
+				return nil, protof("site id %d overflows SiteID", id)
+			}
+			h.Sites[trace.SiteID(id)] = c.String(tracefmt.MaxNameLen)
+		}
+	}
+	if err := c.End(); err != nil {
+		return nil, protof("handshake: %v", err)
 	}
 	if h.SessionID == "" {
 		return nil, protof("empty session ID")
-	}
-	if h.Workload, err = sc.str(tracefmt.MaxNameLen); err != nil {
-		return nil, err
-	}
-	nSites, err := sc.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nSites > tracefmt.MaxSites {
-		return nil, protof("unreasonable site count %d", nSites)
-	}
-	if nSites > 0 {
-		h.Sites = make(map[trace.SiteID]string, nSites)
-	}
-	for i := uint64(0); i < nSites; i++ {
-		id, err := sc.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if id > uint64(^trace.SiteID(0)) {
-			return nil, protof("site id %d overflows SiteID", id)
-		}
-		name, err := sc.str(tracefmt.MaxNameLen)
-		if err != nil {
-			return nil, err
-		}
-		h.Sites[trace.SiteID(id)] = name
-	}
-	if sc.off != len(body) {
-		return nil, protof("%d trailing bytes after handshake", len(body)-sc.off)
 	}
 	return h, nil
 }
@@ -327,14 +233,14 @@ func decodeHello(body []byte) (*Hello, error) {
 // encodeFrameMsg builds a Frame message body: the frame's index followed
 // by its raw bytes.
 func encodeFrameMsg(index uint64, frame []byte) []byte {
-	b := uvarintBody(index)
-	return append(b, frame...)
+	return append(binary.AppendUvarint(nil, index), frame...)
 }
 
 func decodeFrameMsg(body []byte) (index uint64, frame []byte, err error) {
-	v, n := binary.Uvarint(body)
-	if n <= 0 {
-		return 0, nil, protof("Frame body lacks an index")
+	c := codec.NewCursor(body)
+	index = c.Uvarint()
+	if err := c.Err(); err != nil {
+		return 0, nil, protof("Frame body lacks an index: %v", err)
 	}
-	return v, body[n:], nil
+	return index, body[c.Offset():], nil
 }

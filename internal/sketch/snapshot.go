@@ -32,6 +32,9 @@ func (c *CountMin) Snapshot() *CountMinSnapshot {
 
 // RestoreCountMin rebuilds a sketch from its snapshot.
 func RestoreCountMin(s *CountMinSnapshot) (*CountMin, error) {
+	if s == nil {
+		return nil, fmt.Errorf("sketch: count-min snapshot missing")
+	}
 	if s.Depth < 1 || s.Width < 2 || s.Width&(s.Width-1) != 0 {
 		return nil, fmt.Errorf("sketch: corrupt count-min snapshot: depth %d width %d", s.Depth, s.Width)
 	}
@@ -75,6 +78,9 @@ func (b *Bloom) Snapshot() *BloomSnapshot {
 
 // RestoreBloom rebuilds a filter from its snapshot.
 func RestoreBloom(s *BloomSnapshot) (*Bloom, error) {
+	if s == nil {
+		return nil, fmt.Errorf("sketch: bloom snapshot missing")
+	}
 	n := uint64(len(s.Words))
 	if s.K < 1 || n == 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("sketch: corrupt bloom snapshot: %d words, k %d", n, s.K)
@@ -110,6 +116,9 @@ func (t *TopK) Snapshot() *TopKSnapshot {
 
 // RestoreTopK rebuilds a summary from its snapshot.
 func RestoreTopK(s *TopKSnapshot) (*TopK, error) {
+	if s == nil {
+		return nil, fmt.Errorf("sketch: top-k snapshot missing")
+	}
 	if s.K < 1 || len(s.Slots) > s.K {
 		return nil, fmt.Errorf("sketch: corrupt top-k snapshot: %d slots, k %d", len(s.Slots), s.K)
 	}

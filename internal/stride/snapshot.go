@@ -63,6 +63,9 @@ func (p *Ideal) Snapshot() *Snapshot {
 // FromSnapshot reconstructs an Ideal profiler that behaves identically to
 // the snapshotted one for all future events.
 func FromSnapshot(snap *Snapshot) (*Ideal, error) {
+	if snap == nil {
+		return nil, fmt.Errorf("stride: snapshot missing")
+	}
 	p := NewIdeal()
 	for _, st := range snap.Instrs {
 		if _, dup := p.execs[st.Instr]; dup {

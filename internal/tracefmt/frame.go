@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 
+	"ormprof/internal/codec"
 	"ormprof/internal/trace"
 )
 
@@ -28,20 +29,20 @@ func appendEvent(frame []byte, e trace.Event, lastAddr *trace.Addr, lastTime *tr
 	switch e.Kind {
 	case trace.EvAccess:
 		frame = append(frame, kind)
-		frame = appendVarint(frame, dt)
-		frame = appendUvarint(frame, uint64(e.Instr))
-		frame = appendVarint(frame, da)
-		frame = appendUvarint(frame, uint64(e.Size))
+		frame = binary.AppendVarint(frame, dt)
+		frame = binary.AppendUvarint(frame, uint64(e.Instr))
+		frame = binary.AppendVarint(frame, da)
+		frame = binary.AppendUvarint(frame, uint64(e.Size))
 	case trace.EvAlloc:
 		frame = append(frame, kind)
-		frame = appendVarint(frame, dt)
-		frame = appendUvarint(frame, uint64(e.Site))
-		frame = appendVarint(frame, da)
-		frame = appendUvarint(frame, uint64(e.Size))
+		frame = binary.AppendVarint(frame, dt)
+		frame = binary.AppendUvarint(frame, uint64(e.Site))
+		frame = binary.AppendVarint(frame, da)
+		frame = binary.AppendUvarint(frame, uint64(e.Size))
 	case trace.EvFree:
 		frame = append(frame, kind)
-		frame = appendVarint(frame, dt)
-		frame = appendVarint(frame, da)
+		frame = binary.AppendVarint(frame, dt)
+		frame = binary.AppendVarint(frame, da)
 	default:
 		return frame, false
 	}
@@ -57,7 +58,7 @@ func appendFrame(dst []byte, records []byte, count int) []byte {
 	cn := binary.PutUvarint(cnt[:], uint64(count))
 	crc := crc32.Update(crc32.Checksum(cnt[:cn], crcTable), crcTable, records)
 	dst = append(dst, FrameMagic...)
-	dst = appendUvarint(dst, uint64(cn+len(records)))
+	dst = binary.AppendUvarint(dst, uint64(cn+len(records)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc)
 	dst = append(dst, cnt[:cn]...)
 	dst = append(dst, records...)
@@ -114,23 +115,22 @@ func DecodeFrameInto(dst []trace.Event, data []byte) ([]trace.Event, error) {
 	if string(data[:len(FrameMagic)]) != FrameMagic {
 		return dst, badf("bad frame magic %x", data[:len(FrameMagic)])
 	}
-	rest := data[len(FrameMagic):]
-	pl, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return dst, badf("frame length: malformed varint")
+	c := codec.NewCursor(data[len(FrameMagic):])
+	pl := c.Uvarint()
+	if err := c.Err(); err != nil {
+		return dst, badf("frame length: %v", err)
 	}
 	if pl == 0 || pl > MaxFramePayload {
 		return dst, badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
 	}
-	rest = rest[n:]
-	if uint64(len(rest)) < 4+pl {
-		return dst, badf("frame truncated: %d bytes, want %d", len(rest), 4+pl)
+	if uint64(c.Len()) < 4+pl {
+		return dst, badf("frame truncated: %d bytes, want %d", c.Len(), 4+pl)
 	}
-	if uint64(len(rest)) > 4+pl {
-		return dst, badf("%d trailing bytes after frame", uint64(len(rest))-(4+pl))
+	if uint64(c.Len()) > 4+pl {
+		return dst, badf("%d trailing bytes after frame", uint64(c.Len())-(4+pl))
 	}
-	want := binary.LittleEndian.Uint32(rest[:4])
-	payload := rest[4 : 4+pl]
+	want := binary.LittleEndian.Uint32(c.Bytes(4))
+	payload := c.Bytes(int(pl))
 	if got := crc32.Checksum(payload, crcTable); got != want {
 		return dst, badf("frame checksum mismatch: payload %08x, header %08x", got, want)
 	}

@@ -108,3 +108,16 @@ func TestFrameDecodeRejectsDamage(t *testing.T) {
 		t.Error("DecodeFrame accepted trailing bytes")
 	}
 }
+
+// TestFrameRejectsPaddedVarint: a record whose Δtime is a padded
+// (non-minimal) varint fails even under a valid CRC, so a frame has one
+// byte form (docs/FORMATS.md, "Varints").
+func TestFrameRejectsPaddedVarint(t *testing.T) {
+	free := byte(trace.EvFree)
+	if _, err := DecodeFrame(appendFrame(nil, []byte{free, 0x00, 0x00}, 1)); err != nil {
+		t.Fatalf("minimal record: %v", err)
+	}
+	if _, err := DecodeFrame(appendFrame(nil, []byte{free, 0x80, 0x00, 0x00}, 1)); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("padded record: err %v, want ErrBadTrace", err)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"ormprof/internal/codec"
 	"ormprof/internal/trace"
 )
 
@@ -105,10 +106,12 @@ func (t *Reader) readHeader() error {
 	}
 	t.ver = ver
 	t.stats.Version = int(ver)
-	if t.name, err = t.readString(MaxNameLen); err != nil {
-		return fmt.Errorf("%w (workload name)", err)
+	name, err := codec.ReadBytes(t.br, MaxNameLen)
+	if err != nil {
+		return badf("workload name: %v", err)
 	}
-	nSites, err := binary.ReadUvarint(t.br)
+	t.name = string(name)
+	nSites, err := codec.ReadUvarint(t.br)
 	if err != nil {
 		return badf("site count: %v", err)
 	}
@@ -119,35 +122,20 @@ func (t *Reader) readHeader() error {
 		t.sites = make(map[trace.SiteID]string, nSites)
 	}
 	for i := uint64(0); i < nSites; i++ {
-		id, err := binary.ReadUvarint(t.br)
+		id, err := codec.ReadUvarint(t.br)
 		if err != nil {
 			return badf("site id: %v", err)
 		}
 		if id > uint64(^trace.SiteID(0)) {
 			return badf("site id %d overflows SiteID", id)
 		}
-		name, err := t.readString(MaxNameLen)
+		name, err := codec.ReadBytes(t.br, MaxNameLen)
 		if err != nil {
-			return fmt.Errorf("%w (site name)", err)
+			return badf("site name: %v", err)
 		}
-		t.sites[trace.SiteID(id)] = name
+		t.sites[trace.SiteID(id)] = string(name)
 	}
 	return nil
-}
-
-func (t *Reader) readString(maxLen uint64) (string, error) {
-	n, err := binary.ReadUvarint(t.br)
-	if err != nil {
-		return "", badf("string length: %v", err)
-	}
-	if n > maxLen {
-		return "", badf("string length %d exceeds limit %d", n, maxLen)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(t.br, buf); err != nil {
-		return "", badf("string body: %v", err)
-	}
-	return string(buf), nil
 }
 
 // Name returns the workload name recorded in the header ("" if none).
@@ -172,8 +160,7 @@ func (t *Reader) Stats() Stats { return t.stats }
 // the payload bytes — which is what lets the lenient reader validate a
 // candidate frame found mid-scan before committing to it.
 type frameDecoder struct {
-	payload  []byte
-	off      int
+	c        codec.Cursor
 	left     int
 	total    int
 	lastAddr trace.Addr
@@ -182,77 +169,40 @@ type frameDecoder struct {
 
 // start parses and bounds the record count, resetting the delta baselines.
 func (d *frameDecoder) start(payload []byte) error {
-	d.payload = payload
-	d.off = 0
+	d.c = codec.NewCursor(payload)
 	d.lastAddr = 0
 	d.lastTime = 0
-	cnt, err := d.uvarint()
-	if err != nil {
+	// Every record costs at least 3 payload bytes (kind + Δtime + Δaddr),
+	// so Count's bound by the bytes left is already generous.
+	cnt := d.c.Count(MaxFramePayload)
+	if err := d.c.Err(); err != nil {
 		return badf("record count: %v", err)
 	}
-	// Every record costs at least 3 payload bytes (kind + Δtime + Δaddr),
-	// so a count beyond the payload length is corrupt, not just large.
-	if cnt == 0 || cnt > uint64(len(payload)) {
-		return badf("record count %d impossible for %d-byte frame", cnt, len(payload))
+	if cnt == 0 {
+		return badf("record count 0 impossible for %d-byte frame", len(payload))
 	}
-	d.left = int(cnt)
-	d.total = int(cnt)
+	d.left = cnt
+	d.total = cnt
 	return nil
-}
-
-// uvarint decodes from the current frame payload.
-func (d *frameDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.payload[d.off:])
-	if n <= 0 {
-		return 0, badf("truncated or oversized uvarint in frame")
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *frameDecoder) varint() (int64, error) {
-	v, n := binary.Varint(d.payload[d.off:])
-	if n <= 0 {
-		return 0, badf("truncated or oversized varint in frame")
-	}
-	d.off += n
-	return v, nil
 }
 
 // next decodes one record. delivered is the reader's running event count,
 // used only to label truncation errors.
 func (d *frameDecoder) next(delivered int64) (trace.Event, error) {
-	if d.off >= len(d.payload) {
+	if d.c.Len() == 0 {
 		return trace.Event{}, badf("frame ends after %d of %d records", delivered, d.left)
 	}
-	kindByte := d.payload[d.off]
-	d.off++
+	kindByte := d.c.Byte()
 	store := kindByte&storeFlag != 0
 	kind := trace.EventKind(kindByte &^ storeFlag)
-
-	dt, err := d.varint()
-	if err != nil {
-		return trace.Event{}, err
-	}
-	d.lastTime += trace.Time(dt)
+	d.lastTime += trace.Time(d.c.Varint())
 
 	var e trace.Event
 	switch kind {
 	case trace.EvAccess:
-		instr, err := d.uvarint()
-		if err != nil {
-			return trace.Event{}, err
-		}
+		instr, da, size := d.c.Uvarint(), d.c.Varint(), d.c.Uvarint()
 		if instr > uint64(^trace.InstrID(0)) {
 			return trace.Event{}, badf("instruction id %d overflows InstrID", instr)
-		}
-		da, err := d.varint()
-		if err != nil {
-			return trace.Event{}, err
-		}
-		size, err := d.uvarint()
-		if err != nil {
-			return trace.Event{}, err
 		}
 		if size > uint64(^uint32(0)) {
 			return trace.Event{}, badf("access size %d overflows uint32", size)
@@ -264,20 +214,9 @@ func (d *frameDecoder) next(delivered int64) (trace.Event, error) {
 		if store {
 			return trace.Event{}, badf("store flag on alloc event")
 		}
-		site, err := d.uvarint()
-		if err != nil {
-			return trace.Event{}, err
-		}
+		site, da, size := d.c.Uvarint(), d.c.Varint(), d.c.Uvarint()
 		if site > uint64(^trace.SiteID(0)) {
 			return trace.Event{}, badf("site id %d overflows SiteID", site)
-		}
-		da, err := d.varint()
-		if err != nil {
-			return trace.Event{}, err
-		}
-		size, err := d.uvarint()
-		if err != nil {
-			return trace.Event{}, badf("alloc size: %v", err)
 		}
 		if size > uint64(^uint32(0)) {
 			return trace.Event{}, badf("alloc size %d overflows uint32", size)
@@ -289,18 +228,17 @@ func (d *frameDecoder) next(delivered int64) (trace.Event, error) {
 		if store {
 			return trace.Event{}, badf("store flag on free event")
 		}
-		da, err := d.varint()
-		if err != nil {
-			return trace.Event{}, err
-		}
-		d.lastAddr += trace.Addr(da)
+		d.lastAddr += trace.Addr(d.c.Varint())
 		e = trace.Event{Kind: trace.EvFree, Time: d.lastTime, Addr: d.lastAddr}
 	default:
 		return trace.Event{}, badf("unknown event kind %d", kindByte)
 	}
+	if err := d.c.Err(); err != nil {
+		return trace.Event{}, badf("record %d of frame: %v", d.total-d.left, err)
+	}
 	d.left--
-	if d.left == 0 && d.off != len(d.payload) {
-		return trace.Event{}, badf("%d trailing bytes after last record of frame", len(d.payload)-d.off)
+	if d.left == 0 && d.c.Len() != 0 {
+		return trace.Event{}, badf("%d trailing bytes after last record of frame", d.c.Len())
 	}
 	return e, nil
 }
@@ -386,7 +324,7 @@ func (t *Reader) strictNextFrame() error {
 	if string(magic) != FrameMagic {
 		return badf("bad frame magic %x", magic)
 	}
-	pl, err := binary.ReadUvarint(t.br)
+	pl, err := codec.ReadUvarint(t.br)
 	if err != nil {
 		return badf("frame length: %v", err)
 	}
@@ -503,23 +441,20 @@ func (t *Reader) tryFrame() (int64, error) {
 	if string(w[:len(FrameMagic)]) != FrameMagic {
 		return 0, badf("bad frame magic %x", w[:len(FrameMagic)])
 	}
-	rest := w[len(FrameMagic):]
-	pl, n := binary.Uvarint(rest)
-	if n == 0 {
-		if len(rest) < binary.MaxVarintLen64 {
-			return 0, errNeedMore
-		}
-		return 0, badf("frame length: malformed varint")
-	}
-	if n < 0 || pl == 0 || pl > MaxFramePayload {
+	c := codec.NewCursor(w[len(FrameMagic):])
+	pl := c.Uvarint()
+	switch err := c.Err(); {
+	case errors.Is(err, codec.ErrTruncated):
+		return 0, errNeedMore
+	case err != nil:
+		return 0, badf("frame length: %v", err)
+	case pl == 0 || pl > MaxFramePayload:
 		return 0, badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
-	}
-	rest = rest[n:]
-	if len(rest) < 4+int(pl) {
+	case c.Len() < 4+int(pl):
 		return 0, errNeedMore
 	}
-	want := binary.LittleEndian.Uint32(rest[:4])
-	payload := rest[4 : 4+pl]
+	want := binary.LittleEndian.Uint32(c.Bytes(4))
+	payload := c.Bytes(int(pl))
 	if got := crc32.Checksum(payload, crcTable); got != want {
 		return claimedCount(payload), badf("frame checksum mismatch: payload %08x, header %08x", got, want)
 	}
@@ -527,7 +462,7 @@ func (t *Reader) tryFrame() (int64, error) {
 	if err := t.cur.start(t.payload); err != nil {
 		return claimedCount(payload), err
 	}
-	t.pendOff += len(FrameMagic) + n + 4 + int(pl)
+	t.pendOff += len(FrameMagic) + c.Offset()
 	t.inFrame = true
 	t.stats.Frames++
 	return 0, nil
@@ -536,11 +471,8 @@ func (t *Reader) tryFrame() (int64, error) {
 // claimedCount best-effort-parses a damaged payload's record count for the
 // skipped-events accounting.
 func claimedCount(payload []byte) int64 {
-	cnt, n := binary.Uvarint(payload)
-	if n > 0 && cnt > 0 && cnt <= uint64(len(payload)) {
-		return int64(cnt)
-	}
-	return 0
+	c := codec.NewCursor(payload)
+	return int64(c.Count(MaxFramePayload))
 }
 
 // skipForward advances the scan past an offset where no frame starts,

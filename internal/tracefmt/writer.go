@@ -7,6 +7,7 @@ import (
 	"io"
 	"sort"
 
+	"ormprof/internal/codec"
 	"ormprof/internal/trace"
 )
 
@@ -35,8 +36,6 @@ type Writer struct {
 	events int64
 	n      int64
 	err    error
-
-	scratch [binary.MaxVarintLen64]byte
 }
 
 // WriterOption configures a Writer.
@@ -109,42 +108,23 @@ func (t *Writer) write(b []byte) {
 	t.err = err
 }
 
-func (t *Writer) uvarint(v uint64) {
-	t.write(t.scratch[:binary.PutUvarint(t.scratch[:], v)])
-}
-
-func (t *Writer) writeString(s string) {
-	t.uvarint(uint64(len(s)))
-	t.write([]byte(s))
-}
-
 // header writes magic, version, workload name, and the site table, sorted
 // by site ID so the bytes are deterministic.
 func (t *Writer) header() {
 	t.wroteHeader = true
-	t.write([]byte(Magic))
-	t.write([]byte{Version})
-	t.writeString(t.name)
+	h := append([]byte(Magic), Version)
+	h = codec.AppendString(h, t.name)
 	ids := make([]trace.SiteID, 0, len(t.sites))
 	for id := range t.sites {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	t.uvarint(uint64(len(ids)))
+	h = binary.AppendUvarint(h, uint64(len(ids)))
 	for _, id := range ids {
-		t.uvarint(uint64(id))
-		t.writeString(t.sites[id])
+		h = binary.AppendUvarint(h, uint64(id))
+		h = codec.AppendString(h, t.sites[id])
 	}
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	return append(b, buf[:binary.PutUvarint(buf[:], v)]...)
-}
-
-func appendVarint(b []byte, v int64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	return append(b, buf[:binary.PutVarint(buf[:], v)]...)
+	t.write(h)
 }
 
 // Emit implements trace.Sink: encode one event into the open frame,

@@ -1,12 +1,14 @@
 package whomp
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
+	"ormprof/internal/codec"
 	"ormprof/internal/decomp"
 	"ormprof/internal/omc"
 	"ormprof/internal/sequitur"
@@ -39,49 +41,41 @@ var ErrBadProfile = errors.New("whomp: bad profile file")
 // (grammar expansions are one symbol per access per dimension).
 const maxReadRecords = 1 << 26
 
+// maxString and maxGrammarBytes bound the names and grammar blobs
+// ReadProfile accepts.
+const (
+	maxString       = 1 << 20
+	maxGrammarBytes = 1 << 26
+)
+
 // WriteTo serializes the profile. It returns the number of bytes written.
 func (p *Profile) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n := &countingWriter{w: bw}
-
-	if _, err := n.Write([]byte(profileMagic)); err != nil {
-		return n.n, err
-	}
-	if _, err := n.Write([]byte{profileVersion}); err != nil {
-		return n.n, err
-	}
-	writeString(n, p.Workload)
-	writeUvarint(n, p.Records)
+	b := append([]byte(profileMagic), profileVersion)
+	b = codec.AppendString(b, p.Workload)
+	b = binary.AppendUvarint(b, p.Records)
 	for _, d := range decomp.Dims {
 		blob := p.Grammars[d].Encode()
-		writeUvarint(n, uint64(len(blob)))
-		if _, err := n.Write(blob); err != nil {
-			return n.n, err
-		}
+		b = binary.AppendUvarint(b, uint64(len(blob)))
+		b = append(b, blob...)
 	}
-	writeUvarint(n, uint64(len(p.Objects.Groups)))
+	b = binary.AppendUvarint(b, uint64(len(p.Objects.Groups)))
 	for _, g := range p.Objects.Groups {
-		writeUvarint(n, uint64(g.Site))
-		writeString(n, g.Name)
-		writeUvarint(n, uint64(len(g.Objects)))
+		b = binary.AppendUvarint(b, uint64(g.Site))
+		b = codec.AppendString(b, g.Name)
+		b = binary.AppendUvarint(b, uint64(len(g.Objects)))
 		for _, o := range g.Objects {
-			writeUvarint(n, uint64(o.Start))
-			writeUvarint(n, uint64(o.Size))
-			writeUvarint(n, uint64(o.AllocTime))
+			b = binary.AppendUvarint(b, uint64(o.Start))
+			b = binary.AppendUvarint(b, uint64(o.Size))
+			b = binary.AppendUvarint(b, uint64(o.AllocTime))
 			ft := uint64(o.FreeTime) * 2
 			if o.Freed {
 				ft++
 			}
-			writeUvarint(n, ft)
+			b = binary.AppendUvarint(b, ft)
 		}
 	}
-	if n.err != nil {
-		return n.n, n.err
-	}
-	if err := bw.Flush(); err != nil {
-		return n.n, err
-	}
-	return n.n, nil
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
 // ReadProfile parses a profile written by WriteTo. The returned profile's
@@ -89,49 +83,37 @@ func (p *Profile) WriteTo(w io.Writer) (int64, error) {
 // back as live grammars by re-feeding the expansion, so the result supports
 // the same operations as a freshly collected profile.
 func ReadProfile(r io.Reader) (*Profile, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(profileMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadProfile, err)
-	}
-	if string(magic) != profileMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadProfile, magic)
-	}
-	ver, err := br.ReadByte()
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProfile, err)
 	}
-	if ver != profileVersion {
+	if !bytes.HasPrefix(data, []byte(profileMagic)) {
+		return nil, fmt.Errorf("%w: bad magic", ErrBadProfile)
+	}
+	c := codec.NewCursor(data[len(profileMagic):])
+	if ver := c.Byte(); c.Err() == nil && ver != profileVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadProfile, ver)
 	}
-	p := &Profile{Grammars: make(map[decomp.Dimension]*sequitur.Grammar), Objects: &ObjectTable{}}
-	if p.Workload, err = readString(br); err != nil {
-		return nil, err
+	p := &Profile{
+		Workload: c.String(maxString),
+		Records:  c.Uvarint(),
+		Grammars: make(map[decomp.Dimension]*sequitur.Grammar),
+		Objects:  &ObjectTable{},
 	}
-	if p.Records, err = readUvarint(br); err != nil {
-		return nil, err
+	// Each dimension stream has exactly one symbol per recorded access;
+	// bounding the expansion by the declared record count blocks zip-bomb
+	// grammars from untrusted inputs.
+	if p.Records > maxReadRecords {
+		return nil, fmt.Errorf("%w: unreasonable record count %d", ErrBadProfile, p.Records)
 	}
 	for _, d := range decomp.Dims {
-		blobLen, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if blobLen > 1<<26 {
-			return nil, fmt.Errorf("%w: unreasonable grammar size %d", ErrBadProfile, blobLen)
-		}
-		blob := make([]byte, blobLen)
-		if _, err := io.ReadFull(br, blob); err != nil {
+		blob := c.Bytes(c.Count(maxGrammarBytes))
+		if err := c.Err(); err != nil {
 			return nil, fmt.Errorf("%w: grammar %v: %v", ErrBadProfile, d, err)
 		}
 		dec, err := sequitur.Decode(blob)
 		if err != nil {
 			return nil, fmt.Errorf("%w: grammar %v: %v", ErrBadProfile, d, err)
-		}
-		// Each dimension stream has exactly one symbol per recorded access;
-		// bounding the expansion by the declared record count blocks
-		// zip-bomb grammars from untrusted inputs.
-		if p.Records > maxReadRecords {
-			return nil, fmt.Errorf("%w: unreasonable record count %d", ErrBadProfile, p.Records)
 		}
 		seq, err := dec.ExpandLimit(int(p.Records))
 		if err != nil {
@@ -145,98 +127,20 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 		g.AppendAll(seq)
 		p.Grammars[d] = g
 	}
-	nGroups, err := readUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	for gi := uint64(0); gi < nGroups; gi++ {
-		var ge GroupEntry
-		ge.ID = omc.GroupID(gi + 1)
-		site, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		ge.Site = trace.SiteID(site)
-		if ge.Name, err = readString(br); err != nil {
-			return nil, err
-		}
-		nObjs, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		for oi := uint64(0); oi < nObjs; oi++ {
-			var oe ObjectEntry
-			v, err := readUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			oe.Start = trace.Addr(v)
-			if v, err = readUvarint(br); err != nil {
-				return nil, err
-			}
-			oe.Size = uint32(v)
-			if v, err = readUvarint(br); err != nil {
-				return nil, err
-			}
-			oe.AllocTime = trace.Time(v)
-			if v, err = readUvarint(br); err != nil {
-				return nil, err
-			}
-			oe.Freed = v&1 == 1
-			oe.FreeTime = trace.Time(v >> 1)
+	nGroups := c.Count(math.MaxUint64)
+	for gi := 0; gi < nGroups; gi++ {
+		ge := GroupEntry{ID: omc.GroupID(gi + 1), Site: trace.SiteID(c.Uvarint()), Name: c.String(maxString)}
+		for oi, n := 0, c.Count(math.MaxUint64); oi < n; oi++ {
+			oe := ObjectEntry{Start: trace.Addr(c.Uvarint()), Size: uint32(c.Uvarint()), AllocTime: trace.Time(c.Uvarint())}
+			ft := c.Uvarint()
+			oe.Freed = ft&1 == 1
+			oe.FreeTime = trace.Time(ft >> 1)
 			ge.Objects = append(ge.Objects, oe)
 		}
 		p.Objects.Groups = append(p.Objects.Groups, ge)
 	}
+	if err := c.End(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadProfile, err)
+	}
 	return p, nil
-}
-
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
-}
-
-func writeUvarint(w io.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n]) //nolint:errcheck // countingWriter latches the error
-}
-
-func writeString(w io.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	io.WriteString(w, s) //nolint:errcheck // countingWriter latches the error
-}
-
-func readUvarint(br *bufio.Reader) (uint64, error) {
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadProfile, err)
-	}
-	return v, nil
-}
-
-func readString(br *bufio.Reader) (string, error) {
-	n, err := readUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("%w: unreasonable string length %d", ErrBadProfile, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadProfile, err)
-	}
-	return string(buf), nil
 }

@@ -2,6 +2,7 @@ package whomp
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"ormprof/internal/memsim"
@@ -133,6 +134,28 @@ func TestReadProfileRejectsGarbage(t *testing.T) {
 		if _, err := ReadProfile(bytes.NewReader(full.Bytes()[:cut])); err == nil {
 			t.Errorf("truncated profile (%d bytes) accepted", cut)
 		}
+	}
+}
+
+// TestReadProfileRejectsPaddedVarint: the workload-name length written in
+// a two-byte, non-minimal form is refused, so every profile has one byte
+// form (docs/FORMATS.md, "Varints").
+func TestReadProfileRejectsPaddedVarint(t *testing.T) {
+	buf, sites := collectDemo(t)
+	p := New(sites)
+	buf.Replay(p)
+	var full bytes.Buffer
+	if _, err := p.Profile("x").WriteTo(&full); err != nil {
+		t.Fatal(err)
+	}
+	b := full.Bytes()
+	at := len(profileMagic) + 1 // past the version byte
+	if b[at] != 1 {
+		t.Fatalf("workload length byte %#x, want 1", b[at])
+	}
+	padded := append(append(append([]byte(nil), b[:at]...), 0x81, 0x00), b[at+1:]...)
+	if _, err := ReadProfile(bytes.NewReader(padded)); !errors.Is(err, ErrBadProfile) {
+		t.Errorf("padded varint: err %v, want ErrBadProfile", err)
 	}
 }
 
