@@ -103,9 +103,11 @@ bench-json:
 	$(GO) test -run=xxx -bench='$(BENCH)' -benchmem -timeout 60m -json . \
 		> BENCH_hotpath.json
 
-# The zero-alloc gate: fails if the steady-state event loop (translate +
-# WHOMP/LEAP/stride consumption, alloc/free churn included) performs any
+# The zero-alloc gate: fails if the steady-state event loop (OMC
+# translation into a discard SCC, and into a profiler.Fanout of two discard
+# SCCs as the daemon fans out; alloc/free churn included) performs any
 # per-event heap allocation, or if the soabtree steady state allocates.
+# WHOMP/LEAP/stride consumption is not covered (ROADMAP item 2).
 # Cheap enough to run on every CI push — catches alloc regressions at the
 # PR that introduces them, not at the next quarterly profile.
 bench-allocs:

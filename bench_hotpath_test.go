@@ -69,9 +69,13 @@ func churnTrace(nLive, cycles int) (warm, churn []trace.Event) {
 	return warm, churn
 }
 
-// warmCDC builds a CDC over a discard SCC with the warm-up live set applied.
-func warmCDC(warm []trace.Event) *profiler.CDC {
-	cdc := profiler.NewCDC(omc.New(nil), profiler.SCCFunc(func(profiler.Record) {}))
+// discardSCC drops every record: the event loop benchmarks measure the
+// CDC and OMC, not a profiling module.
+var discardSCC = profiler.SCCFunc(func(profiler.Record) {})
+
+// warmCDC builds a CDC over out with the warm-up live set applied.
+func warmCDC(out profiler.SCC, warm []trace.Event) *profiler.CDC {
+	cdc := profiler.NewCDC(omc.New(nil), out)
 	for _, e := range warm {
 		cdc.Emit(e)
 	}
@@ -85,7 +89,7 @@ func warmCDC(warm []trace.Event) *profiler.CDC {
 // in steady state.
 func BenchmarkEventLoopSteadyState(b *testing.B) {
 	warm, churn := churnTrace(4096, 4096)
-	cdc := warmCDC(warm)
+	cdc := warmCDC(discardSCC, warm)
 	b.ReportAllocs()
 	b.SetBytes(12) // one raw (instr, addr) record, as in trace.RawBytes
 	b.ResetTimer()
@@ -109,7 +113,7 @@ func BenchmarkEventLoopAccessOnly(b *testing.B) {
 			accesses = append(accesses, e)
 		}
 	}
-	cdc := warmCDC(warm)
+	cdc := warmCDC(discardSCC, warm)
 	b.ReportAllocs()
 	b.SetBytes(12)
 	b.ResetTimer()
@@ -226,28 +230,39 @@ func BenchmarkWorkloadIngest(b *testing.B) {
 // churnAccesses accesses — against a warm object map, and the benchmark
 // framework's allocs/op for that cycle must be exactly zero. Amortized
 // costs (arena growth once per thousands of objects) divide away; anything
-// per-event or per-object fails the gate.
+// per-event or per-object fails the gate. The fanout case is the daemon's
+// shape: one OMC translation handed to two SCCs through profiler.Fanout.
 func TestEventLoopSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmarks the event loop")
 	}
 	warm, churn := churnTrace(4096, 4096)
 	cycleLen := 2 + churnAccesses
-	res := testing.Benchmark(func(b *testing.B) {
-		cdc := warmCDC(warm)
-		b.ResetTimer()
-		i := 0
-		for n := 0; n < b.N; n++ {
-			for c := 0; c < cycleLen; c++ {
-				cdc.Emit(churn[i])
-				if i++; i == len(churn) {
-					i = 0
+	for _, tc := range []struct {
+		name string
+		out  profiler.SCC
+	}{
+		{"discard", discardSCC},
+		{"fanout", profiler.Fanout{discardSCC, discardSCC}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := testing.Benchmark(func(b *testing.B) {
+				cdc := warmCDC(tc.out, warm)
+				b.ResetTimer()
+				i := 0
+				for n := 0; n < b.N; n++ {
+					for c := 0; c < cycleLen; c++ {
+						cdc.Emit(churn[i])
+						if i++; i == len(churn) {
+							i = 0
+						}
+					}
 				}
+			})
+			if allocs := res.AllocsPerOp(); allocs > 0 {
+				t.Fatalf("event loop steady state: %d allocs per churn cycle (free+alloc+%d accesses), want 0\n%s %s",
+					allocs, churnAccesses, res.String(), res.MemString())
 			}
-		}
-	})
-	if allocs := res.AllocsPerOp(); allocs > 0 {
-		t.Fatalf("event loop steady state: %d allocs per churn cycle (free+alloc+%d accesses), want 0\n%s %s",
-			allocs, churnAccesses, res.String(), res.MemString())
+		})
 	}
 }

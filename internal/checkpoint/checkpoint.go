@@ -78,9 +78,9 @@ type SiteEntry struct {
 
 // State is the complete resumable state of one ingestion session.
 //
-// The WHOMP and LEAP pipelines each keep their own OMC (mirroring the
-// offline tools, which build one per profiler run), so both are stored.
-// All component fields are the exact-snapshot types whose restore is
+// A session translates each access once: one OMC feeds both WHOMP and
+// LEAP. WhompOMC holds its snapshot, and LeapOMC is a copy of WhompOMC,
+// kept for ORMCKPT v1 readers. All component fields are the exact-snapshot types whose restore is
 // proven byte-exact by their packages' resume tests.
 type State struct {
 	// SessionID names the session (the client supplies it and keeps it

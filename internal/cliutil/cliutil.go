@@ -395,19 +395,14 @@ func (ev *Events) Stats() tracefmt.Stats { return ev.stats }
 // translateMode is the pipeline behind Translate: OMC translation into a
 // record collector.
 type translateMode struct {
-	o   *omc.OMC
+	*profiler.CDC
 	col *profiler.Collector
-	cdc *profiler.CDC
 }
 
 func newTranslateMode(sites map[trace.SiteID]string) *translateMode {
-	o := omc.New(sites)
 	col := &profiler.Collector{}
-	return &translateMode{o: o, col: col, cdc: profiler.NewCDC(o, col)}
+	return &translateMode{CDC: profiler.NewCDC(omc.New(sites), col), col: col}
 }
-
-func (m *translateMode) Emit(e trace.Event) { m.cdc.Emit(e) }
-func (m *translateMode) Footprint() int64   { return m.o.Footprint() + m.col.Footprint() }
 
 // Translate runs one pass through a fresh OMC, via Run, and returns the
 // object-relative record stream plus the OMC. A salvaged pass (lenient
@@ -419,8 +414,8 @@ func (ev *Events) Translate(deg *Degraded) ([]profiler.Record, *omc.OMC, govern.
 	if err != nil || m == nil {
 		return nil, nil, rung, err
 	}
-	m.cdc.Finish()
-	return m.col.Records, m.o, rung, nil
+	m.Finish()
+	return m.col.Records, m.OMC, rung, nil
 }
 
 // Replayed reports whether the events come from a recorded trace file.

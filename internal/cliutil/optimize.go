@@ -28,46 +28,22 @@ import (
 	"ormprof/internal/trace"
 )
 
-// fanout duplicates the object-relative record stream to several SCCs, so
-// the optimize pass derives its plan in the same single pass that collects
-// the record stream.
-type fanout []profiler.SCC
-
-// Consume implements profiler.SCC.
-func (f fanout) Consume(r profiler.Record) {
-	for _, s := range f {
-		s.Consume(r)
-	}
-}
-
-// Finish implements profiler.SCC.
-func (f fanout) Finish() {
-	for _, s := range f {
-		s.Finish()
-	}
-}
-
-// optimizeMode is translateMode plus the streaming layout planner: a
-// governed optimize pass accounts the planner's histograms and first-touch
-// table alongside the OMC and the record collector, so a tight budget
-// degrades plan derivation through the ladder instead of OOMing.
+// optimizeMode is translateMode plus the streaming layout planner, fed by
+// the same record fan-out, so the optimize pass derives its plan in the
+// single pass that collects the record stream. A governed optimize pass
+// accounts the planner's histograms and first-touch table alongside the
+// OMC and the record collector, so a tight budget degrades plan
+// derivation through the ladder instead of OOMing.
 type optimizeMode struct {
-	o       *omc.OMC
+	*profiler.CDC
 	col     *profiler.Collector
 	planner *layout.Planner
-	cdc     *profiler.CDC
 }
 
 func newOptimizeMode(sites map[trace.SiteID]string) *optimizeMode {
-	o := omc.New(sites)
 	col := &profiler.Collector{}
 	p := layout.NewPlanner()
-	return &optimizeMode{o: o, col: col, planner: p, cdc: profiler.NewCDC(o, fanout{col, p})}
-}
-
-func (m *optimizeMode) Emit(e trace.Event) { m.cdc.Emit(e) }
-func (m *optimizeMode) Footprint() int64 {
-	return m.o.Footprint() + m.col.Footprint() + m.planner.Footprint()
+	return &optimizeMode{CDC: profiler.NewCDC(omc.New(sites), profiler.Fanout{col, p}), col: col, planner: p}
 }
 
 // OptimizeConfig parameterizes the optimize pipeline.
@@ -161,8 +137,8 @@ func (ev *Events) Optimize(cfg OptimizeConfig) (*OptimizeResult, error) {
 	if m == nil {
 		return res, deg.Err() // degraded below sampled: no plan, governance only
 	}
-	m.cdc.Finish()
-	recs, o, planner := m.col.Records, m.o, m.planner
+	m.Finish()
+	recs, o, planner := m.col.Records, m.OMC, m.planner
 	res.Events, res.Accesses = n, len(recs)
 
 	// Pass 2: LEAP stride analysis for the plan's prefetch rules.

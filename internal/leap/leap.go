@@ -203,7 +203,6 @@ type compressorSCC interface {
 // Profiler bundles the full LEAP pipeline: OMC + CDC + SCC. It is a
 // trace.Sink.
 type Profiler struct {
-	omc *omc.OMC
 	scc compressorSCC
 	cdc *profiler.CDC
 }
@@ -211,9 +210,8 @@ type Profiler struct {
 // New creates a LEAP profiler with the given LMAD budget (≤ 0 for the
 // paper's default of 30). siteNames may be nil.
 func New(siteNames map[trace.SiteID]string, maxLMADs int) *Profiler {
-	o := omc.New(siteNames)
 	scc := NewSCC(maxLMADs)
-	return &Profiler{omc: o, scc: scc, cdc: profiler.NewCDC(o, scc)}
+	return &Profiler{scc: scc, cdc: profiler.NewCDC(omc.New(siteNames), scc)}
 }
 
 // NewParallel creates a LEAP profiler whose per-(instruction, group) stream
@@ -227,9 +225,8 @@ func NewParallel(siteNames map[trace.SiteID]string, maxLMADs, workers int) *Prof
 	if workers <= 1 {
 		return New(siteNames, maxLMADs)
 	}
-	o := omc.New(siteNames)
 	scc := NewParallelSCC(maxLMADs, workers)
-	return &Profiler{omc: o, scc: scc, cdc: profiler.NewCDC(o, scc)}
+	return &Profiler{scc: scc, cdc: profiler.NewCDC(omc.New(siteNames), scc)}
 }
 
 // Emit implements trace.Sink.
@@ -246,18 +243,11 @@ func (p *Profiler) Err() error {
 }
 
 // OMC exposes the profiler's object-management component.
-func (p *Profiler) OMC() *omc.OMC { return p.omc }
+func (p *Profiler) OMC() *omc.OMC { return p.cdc.OMC }
 
-// Footprint reports the pipeline's approximate live bytes (OMC + SCC).
-// The parallel SCC does not account — governed runs are sequential — so
-// it contributes zero.
-func (p *Profiler) Footprint() int64 {
-	n := p.omc.Footprint()
-	if f, ok := p.scc.(interface{ Footprint() int64 }); ok {
-		n += f.Footprint()
-	}
-	return n
-}
+// Footprint reports the pipeline's approximate live bytes (see
+// profiler.CDC.Footprint).
+func (p *Profiler) Footprint() int64 { return p.cdc.Footprint() }
 
 // Profile finalizes collection and returns the profile.
 func (p *Profiler) Profile(workload string) *Profile {

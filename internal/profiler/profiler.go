@@ -113,8 +113,50 @@ func (c *CDC) Emit(e trace.Event) {
 // Finish finalizes the downstream SCC.
 func (c *CDC) Finish() { c.Out.Finish() }
 
+// Footprint reports the pipeline's approximate live bytes: the OMC's plus
+// Out's where Out accounts. The parallel SCCs do not account (governed
+// runs are sequential), so they contribute zero.
+func (c *CDC) Footprint() int64 { return c.OMC.Footprint() + footprint(c.Out) }
+
+// footprint is s's Footprint, or zero for an SCC that does not account.
+func footprint(s SCC) int64 {
+	if f, ok := s.(interface{ Footprint() int64 }); ok {
+		return f.Footprint()
+	}
+	return 0
+}
+
 // Records reports how many access events were translated.
 func (c *CDC) Records() uint64 { return c.records }
+
+// Fanout hands the object-relative record stream to several SCCs in
+// order, so one OMC translation per access serves every profiling module
+// (the daemon's WHOMP and LEAP, the optimize pass's collector and layout
+// planner).
+type Fanout []SCC
+
+// Consume implements SCC.
+func (f Fanout) Consume(r Record) {
+	for _, s := range f {
+		s.Consume(r)
+	}
+}
+
+// Finish implements SCC.
+func (f Fanout) Finish() {
+	for _, s := range f {
+		s.Finish()
+	}
+}
+
+// Footprint sums the footprints of the SCCs that account.
+func (f Fanout) Footprint() int64 {
+	var n int64
+	for _, s := range f {
+		n += footprint(s)
+	}
+	return n
+}
 
 // Collector is an SCC that simply buffers the object-relative stream, used
 // by tests, examples, and as the input stage for offline decomposition.

@@ -106,3 +106,54 @@ func TestSCCFunc(t *testing.T) {
 		t.Error("SCCFunc did not forward")
 	}
 }
+
+// finishCounter is an SCC that collects records and counts Finish calls.
+type finishCounter struct {
+	Collector
+	finished int
+}
+
+func (f *finishCounter) Finish() { f.finished++ }
+
+func TestFanoutDeliversInOrder(t *testing.T) {
+	a, b := &finishCounter{}, &finishCounter{}
+	recs, _ := TranslateTrace(figure3Trace(), nil)
+	cdc := NewCDC(omc.New(nil), Fanout{a, b})
+	for _, e := range figure3Trace() {
+		cdc.Emit(e)
+	}
+	cdc.Finish()
+	for name, got := range map[string]*finishCounter{"first": a, "second": b} {
+		if len(got.Records) != len(recs) {
+			t.Fatalf("%s SCC got %d records, want %d", name, len(got.Records), len(recs))
+		}
+		for i := range recs {
+			if got.Records[i] != recs[i] {
+				t.Errorf("%s SCC record %d = %v, want %v", name, i, got.Records[i], recs[i])
+			}
+		}
+		if got.finished != 1 {
+			t.Errorf("%s SCC finished %d times, want 1", name, got.finished)
+		}
+	}
+}
+
+func TestCDCFootprint(t *testing.T) {
+	o := omc.New(nil)
+	a, b := &Collector{}, &Collector{}
+	silent := SCCFunc(func(Record) {}) // does not account
+	cdc := NewCDC(o, Fanout{a, silent, b})
+	for _, e := range figure3Trace() {
+		cdc.Emit(e)
+	}
+	want := o.Footprint() + a.Footprint() + b.Footprint()
+	if got := cdc.Footprint(); got != want {
+		t.Errorf("CDC footprint = %d, want OMC + accounting SCCs = %d", got, want)
+	}
+	if got := NewCDC(o, silent).Footprint(); got != o.Footprint() {
+		t.Errorf("CDC over a non-accounting SCC = %d, want the OMC's %d", got, o.Footprint())
+	}
+	if got := NewCDC(o, a).Footprint(); got != o.Footprint()+a.Footprint() {
+		t.Errorf("CDC over one collector = %d, want %d", got, o.Footprint()+a.Footprint())
+	}
+}

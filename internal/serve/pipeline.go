@@ -17,61 +17,48 @@ import (
 	"ormprof/internal/whomp"
 )
 
-// pipelineMode is one session's full profiling state: the WHOMP and LEAP
-// pipelines (each with its own OMC, mirroring the offline tools) plus the
-// lossless stride profiler. It is what checkpoints snapshot and what the
-// final profiles are built from. The SCCs are deliberately the sequential
-// ones: exact snapshots need single-threaded state, and the parallel
-// stages are defined to produce byte-identical profiles anyway, so daemon
-// output matches offline runs at any worker count.
+// pipelineMode is one session's full profiling state: one CDC whose OMC
+// translates each access once and fans the record out to the WHOMP and
+// LEAP SCCs, plus the lossless stride profiler on the raw events. It is
+// what checkpoints snapshot and what the final profiles are built from.
+// The SCCs are deliberately the sequential ones: exact snapshots need
+// single-threaded state, and the parallel stages are defined to produce
+// byte-identical profiles anyway, so daemon output matches offline runs
+// at any worker count.
 //
 // It implements govern.Mode, so a session's degradation ladder can
 // account and, over budget, discard it.
 type pipelineMode struct {
-	whompOMC *omc.OMC
+	*profiler.CDC
 	whompSCC *whomp.SCC
-	whompCDC *profiler.CDC
-
-	leapOMC *omc.OMC
-	leapSCC *leap.SCC
-	leapCDC *profiler.CDC
-
-	ideal *stride.Ideal
+	leapSCC  *leap.SCC
+	ideal    *stride.Ideal
 }
 
-func newPipelineMode(sites map[trace.SiteID]string, maxLMADs int) *pipelineMode {
-	m := &pipelineMode{
-		whompOMC: omc.New(sites),
-		whompSCC: whomp.NewSCC(),
-		leapOMC:  omc.New(sites),
-		leapSCC:  leap.NewSCC(maxLMADs),
-		ideal:    stride.NewIdeal(),
+func newPipelineMode(o *omc.OMC, w *whomp.SCC, l *leap.SCC, ideal *stride.Ideal) *pipelineMode {
+	return &pipelineMode{
+		CDC:      profiler.NewCDC(o, profiler.Fanout{w, l}),
+		whompSCC: w,
+		leapSCC:  l,
+		ideal:    ideal,
 	}
-	m.whompCDC = profiler.NewCDC(m.whompOMC, m.whompSCC)
-	m.leapCDC = profiler.NewCDC(m.leapOMC, m.leapSCC)
-	return m
 }
 
 func (m *pipelineMode) Emit(e trace.Event) {
-	m.whompCDC.Emit(e)
-	m.leapCDC.Emit(e)
+	m.CDC.Emit(e)
 	m.ideal.Emit(e)
 }
 
-func (m *pipelineMode) Footprint() int64 {
-	return m.whompOMC.Footprint() + m.whompSCC.Footprint() +
-		m.leapOMC.Footprint() + m.leapSCC.Footprint() + m.ideal.Footprint()
-}
+func (m *pipelineMode) Footprint() int64 { return m.CDC.Footprint() + m.ideal.Footprint() }
 
 // profiles finalizes the mode into its three profile artifacts.
 func (m *pipelineMode) profiles(workload string) (*whomp.Profile, *leap.Profile, *stride.Ideal) {
-	m.whompCDC.Finish()
-	m.leapCDC.Finish()
+	m.Finish()
 	wp := &whomp.Profile{
 		Workload: workload,
 		Records:  m.whompSCC.Records(),
 		Grammars: m.whompSCC.Grammars(),
-		Objects:  whomp.FromOMC(m.whompOMC),
+		Objects:  whomp.FromOMC(m.OMC),
 	}
 	return wp, m.leapSCC.BuildProfile(workload), m.ideal
 }
@@ -84,7 +71,6 @@ func (m *pipelineMode) profiles(workload string) (*whomp.Profile, *leap.Profile,
 type pipeline struct {
 	workload string
 	sites    map[trace.SiteID]string
-	maxLMADs int
 
 	lad      *govern.Ladder
 	governed bool // a session or global budget is configured
@@ -102,49 +88,54 @@ func sessionSeed(id string) uint64 {
 	return h.Sum64()
 }
 
+// ladderConfig is the one governance configuration of a session's
+// ladder, fresh or restored: its budget, its site-sampling seed, and a
+// fresh full pipeline whenever the ladder needs one.
+func ladderConfig(sites map[trace.SiteID]string, maxLMADs int, budget *govern.Budget, seed uint64) govern.Config {
+	return govern.Config{
+		Budget: budget,
+		Seed:   seed,
+		Full: func() govern.Mode {
+			return newPipelineMode(omc.New(sites), whomp.NewSCC(), leap.NewSCC(maxLMADs), stride.NewIdeal())
+		},
+	}
+}
+
 // newPipeline builds a fresh pipeline for a session. budget may be nil
 // (account-only). With approx set the session's ladder starts directly at
 // the sketch-stride rung (approximate mode) instead of full profiling.
 func newPipeline(workload string, sites map[trace.SiteID]string, maxLMADs int, budget *govern.Budget, seed uint64, governed, approx bool) *pipeline {
-	p := &pipeline{
-		workload: workload,
-		sites:    sites,
-		maxLMADs: maxLMADs,
-		governed: governed,
-	}
-	cfg := govern.Config{
-		Budget: budget,
-		Seed:   seed,
-		Full:   func() govern.Mode { return newPipelineMode(sites, maxLMADs) },
-	}
+	cfg := ladderConfig(sites, maxLMADs, budget, seed)
 	if approx {
 		cfg.StartRung = govern.RungSketchStride
 	}
-	p.lad = govern.NewLadder(cfg)
-	return p
+	return &pipeline{
+		workload: workload,
+		sites:    sites,
+		lad:      govern.NewLadder(cfg),
+		governed: governed,
+	}
 }
 
 // pipelineFromState reconstructs a pipeline from a checkpoint. The
 // restored footprint is re-accounted into budget, and the ladder resumes
 // on the checkpointed rung — a degraded session never silently
-// re-escalates to full profiling across a restart.
+// re-escalates to full profiling across a restart. The one OMC comes back
+// from WhompOMC; LeapOMC, its copy, must still be present while ORMCKPT
+// v1 carries it.
 func pipelineFromState(st *checkpoint.State, maxLMADs int, budget *govern.Budget, governed bool) (*pipeline, error) {
-	var mode *pipelineMode
+	var full govern.Mode
 	if st.Ladder == nil || st.Ladder.Rung.FullPipeline() {
 		if st.WhompOMC == nil || st.Whomp == nil || st.LeapOMC == nil || st.Leap == nil || st.Stride == nil {
 			return nil, fmt.Errorf("serve: checkpoint on a full-pipeline rung lacks a component snapshot")
 		}
-		wOMC, err := omc.FromSnapshot(st.WhompOMC)
+		o, err := omc.FromSnapshot(st.WhompOMC)
 		if err != nil {
-			return nil, fmt.Errorf("serve: restore WHOMP OMC: %w", err)
+			return nil, fmt.Errorf("serve: restore OMC: %w", err)
 		}
 		wSCC, err := whomp.SCCFromSnapshot(st.Whomp)
 		if err != nil {
 			return nil, fmt.Errorf("serve: restore WHOMP SCC: %w", err)
-		}
-		lOMC, err := omc.FromSnapshot(st.LeapOMC)
-		if err != nil {
-			return nil, fmt.Errorf("serve: restore LEAP OMC: %w", err)
 		}
 		lSCC, err := leap.SCCFromSnapshot(st.Leap)
 		if err != nil {
@@ -154,34 +145,16 @@ func pipelineFromState(st *checkpoint.State, maxLMADs int, budget *govern.Budget
 		if err != nil {
 			return nil, fmt.Errorf("serve: restore stride profiler: %w", err)
 		}
-		mode = &pipelineMode{
-			whompOMC: wOMC,
-			whompSCC: wSCC,
-			leapOMC:  lOMC,
-			leapSCC:  lSCC,
-			ideal:    ideal,
-		}
-		mode.whompCDC = profiler.NewCDC(mode.whompOMC, mode.whompSCC)
-		mode.leapCDC = profiler.NewCDC(mode.leapOMC, mode.leapSCC)
+		full = newPipelineMode(o, wSCC, lSCC, ideal)
 	}
 	sites := st.SitesMap()
-	cfg := govern.Config{
-		Budget: budget,
-		Seed:   sessionSeed(st.SessionID),
-		Full:   func() govern.Mode { return newPipelineMode(sites, maxLMADs) },
-	}
-	var full govern.Mode
-	if mode != nil {
-		full = mode
-	}
-	lad, err := govern.RestoreLadder(cfg, st.Ladder, full)
+	lad, err := govern.RestoreLadder(ladderConfig(sites, maxLMADs, budget, sessionSeed(st.SessionID)), st.Ladder, full)
 	if err != nil {
 		return nil, fmt.Errorf("serve: restore governance ladder: %w", err)
 	}
 	return &pipeline{
 		workload:      st.Workload,
 		sites:         sites,
-		maxLMADs:      maxLMADs,
 		lad:           lad,
 		governed:      governed,
 		framesApplied: st.FramesApplied,
@@ -229,21 +202,19 @@ func (p *pipeline) state(sessionID string) (*checkpoint.State, error) {
 	if m == nil {
 		return st, nil
 	}
-	wo, err := m.whompOMC.Snapshot()
+	o, err := m.OMC.Snapshot()
 	if err != nil {
-		return nil, fmt.Errorf("serve: snapshot WHOMP OMC: %w", err)
+		return nil, fmt.Errorf("serve: snapshot OMC: %w", err)
 	}
 	ws, err := m.whompSCC.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("serve: snapshot WHOMP SCC: %w", err)
 	}
-	lo, err := m.leapOMC.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("serve: snapshot LEAP OMC: %w", err)
-	}
-	st.WhompOMC = wo
+	// One snapshot in both OMC fields: gob writes each field's value, so
+	// the bytes are those of two equal OMCs.
+	st.WhompOMC = o
 	st.Whomp = ws
-	st.LeapOMC = lo
+	st.LeapOMC = o
 	st.Leap = m.leapSCC.Snapshot()
 	st.Stride = m.ideal.Snapshot()
 	return st, nil

@@ -5,7 +5,10 @@ package serve
 // ORMCKPT → pipelineFromState path that resume and merge both run.
 
 import (
+	"bytes"
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
@@ -80,6 +83,52 @@ func TestIncompleteStateRejected(t *testing.T) {
 	}
 	if stats.Skipped != 1 || stats.Sessions != 0 {
 		t.Errorf("stats = %+v, want 1 skipped, 0 sessions", stats)
+	}
+}
+
+// TestResumeKeepsCheckpointBytes: restoring the golden checkpoint and
+// snapshotting it again gives the fixture's bytes. The pipeline holds one
+// OMC and state() stores its snapshot in both WhompOMC and LeapOMC, so
+// this pins that the aliased state still encodes as two equal OMCs.
+//
+// encoding/gob numbers types per process, in first-use order, so a
+// process that wrote a router table first encodes other checkpoint bytes.
+// Unless this test is the only one selected, it therefore re-runs itself
+// alone in a fresh test process.
+func TestResumeKeepsCheckpointBytes(t *testing.T) {
+	const only = "^TestResumeKeepsCheckpointBytes$"
+	if flag.Lookup("test.run").Value.String() != only {
+		out, err := exec.Command(os.Args[0], "-test.run="+only, "-test.count=1").CombinedOutput()
+		if err != nil {
+			t.Fatalf("fresh test process: %v\n%s", err, out)
+		}
+		return
+	}
+	golden, err := os.ReadFile(filepath.Join("..", "checkpoint", "testdata", "golden_v1.ormckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.Decode("golden", golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pipelineFromState(st, 0, govern.NewBudget(0), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := p.state(st.SessionID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.WhompOMC != back.LeapOMC {
+		t.Error("state() took two OMC snapshots, want one stored in both fields")
+	}
+	got, err := checkpoint.Encode(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("restore → state → Encode drifted from the golden checkpoint: %d bytes vs %d", len(got), len(golden))
 	}
 }
 

@@ -2,6 +2,7 @@ package tracefmt
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 
 	"ormprof/internal/codec"
@@ -109,30 +110,12 @@ func DecodeFrame(data []byte) ([]trace.Event, error) {
 // frame: pass the previous result re-sliced to [:0]. On error the
 // returned slice is dst unchanged.
 func DecodeFrameInto(dst []trace.Event, data []byte) ([]trace.Event, error) {
-	if len(data) < len(FrameMagic) {
-		return dst, badf("frame shorter than its sync marker")
+	payload, n, _, err := parseFrame(data)
+	if err != nil {
+		return dst, err
 	}
-	if string(data[:len(FrameMagic)]) != FrameMagic {
-		return dst, badf("bad frame magic %x", data[:len(FrameMagic)])
-	}
-	c := codec.NewCursor(data[len(FrameMagic):])
-	pl := c.Uvarint()
-	if err := c.Err(); err != nil {
-		return dst, badf("frame length: %v", err)
-	}
-	if pl == 0 || pl > MaxFramePayload {
-		return dst, badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
-	}
-	if uint64(c.Len()) < 4+pl {
-		return dst, badf("frame truncated: %d bytes, want %d", c.Len(), 4+pl)
-	}
-	if uint64(c.Len()) > 4+pl {
-		return dst, badf("%d trailing bytes after frame", uint64(c.Len())-(4+pl))
-	}
-	want := binary.LittleEndian.Uint32(c.Bytes(4))
-	payload := c.Bytes(int(pl))
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return dst, badf("frame checksum mismatch: payload %08x, header %08x", got, want)
+	if n < len(data) {
+		return dst, badf("%d trailing bytes after frame", len(data)-n)
 	}
 	var d frameDecoder
 	if err := d.start(payload); err != nil {
@@ -153,4 +136,49 @@ func DecodeFrameInto(dst []trace.Event, data []byte) ([]trace.Event, error) {
 		events = append(events, e)
 	}
 	return events, nil
+}
+
+// parseFrame parses the v3 frame envelope at the start of w: sync marker,
+// payload length, CRC-32C, payload. It returns the checksum-verified
+// payload and the envelope's length in bytes. short reports that w ends
+// inside the envelope, which the lenient reader answers by reading more
+// input. On a checksum mismatch the unverified payload still comes back,
+// for the lenient reader's count of the events it loses.
+func parseFrame(w []byte) (payload []byte, n int, short bool, err error) {
+	if len(w) < len(FrameMagic) {
+		return nil, 0, true, badf("frame shorter than its sync marker")
+	}
+	if string(w[:len(FrameMagic)]) != FrameMagic {
+		return nil, 0, false, badf("bad frame magic %x", w[:len(FrameMagic)])
+	}
+	c := codec.NewCursor(w[len(FrameMagic):])
+	pl := c.Uvarint()
+	if err := c.Err(); err != nil {
+		return nil, 0, errors.Is(err, codec.ErrTruncated), badf("frame length: %v", err)
+	}
+	if err := checkFrameLen(pl); err != nil {
+		return nil, 0, false, err
+	}
+	if uint64(c.Len()) < 4+pl {
+		return nil, 0, true, badf("frame truncated: %d bytes, want %d", c.Len(), 4+pl)
+	}
+	want := binary.LittleEndian.Uint32(c.Bytes(4))
+	payload = c.Bytes(int(pl))
+	return payload, len(FrameMagic) + c.Offset(), false, checkFrameCRC(payload, want)
+}
+
+// checkFrameLen bounds a frame's declared payload length.
+func checkFrameLen(pl uint64) error {
+	if pl == 0 || pl > MaxFramePayload {
+		return badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
+	}
+	return nil
+}
+
+// checkFrameCRC verifies a frame payload against its header checksum.
+func checkFrameCRC(payload []byte, want uint32) error {
+	if got := crc32.Checksum(payload, crcTable); got != want {
+		return badf("frame checksum mismatch: payload %08x, header %08x", got, want)
+	}
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"ormprof/internal/codec"
@@ -328,8 +327,8 @@ func (t *Reader) strictNextFrame() error {
 	if err != nil {
 		return badf("frame length: %v", err)
 	}
-	if pl == 0 || pl > MaxFramePayload {
-		return badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
+	if err := checkFrameLen(pl); err != nil {
+		return err
 	}
 	crcBuf := t.scratch[4:8]
 	if _, err := io.ReadFull(t.br, crcBuf); err != nil {
@@ -339,9 +338,8 @@ func (t *Reader) strictNextFrame() error {
 	if _, err := io.ReadFull(t.br, t.payload); err != nil {
 		return badf("frame body: %v", err)
 	}
-	want := binary.LittleEndian.Uint32(crcBuf)
-	if got := crc32.Checksum(t.payload, crcTable); got != want {
-		return badf("frame checksum mismatch: payload %08x, header %08x", got, want)
+	if err := checkFrameCRC(t.payload, binary.LittleEndian.Uint32(crcBuf)); err != nil {
+		return err
 	}
 	if err := t.cur.start(t.payload); err != nil {
 		return err
@@ -434,35 +432,18 @@ func (t *Reader) endOfTrace() error {
 // with a best-effort count of the events the failed frame claimed to hold
 // (0 when the count itself is unreadable).
 func (t *Reader) tryFrame() (int64, error) {
-	w := t.pend[t.pendOff:]
-	if len(w) < len(FrameMagic) {
-		return 0, errNeedMore
-	}
-	if string(w[:len(FrameMagic)]) != FrameMagic {
-		return 0, badf("bad frame magic %x", w[:len(FrameMagic)])
-	}
-	c := codec.NewCursor(w[len(FrameMagic):])
-	pl := c.Uvarint()
-	switch err := c.Err(); {
-	case errors.Is(err, codec.ErrTruncated):
+	payload, n, short, err := parseFrame(t.pend[t.pendOff:])
+	switch {
+	case short:
 		return 0, errNeedMore
 	case err != nil:
-		return 0, badf("frame length: %v", err)
-	case pl == 0 || pl > MaxFramePayload:
-		return 0, badf("frame payload %d outside (0, %d]", pl, MaxFramePayload)
-	case c.Len() < 4+int(pl):
-		return 0, errNeedMore
-	}
-	want := binary.LittleEndian.Uint32(c.Bytes(4))
-	payload := c.Bytes(int(pl))
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return claimedCount(payload), badf("frame checksum mismatch: payload %08x, header %08x", got, want)
+		return claimedCount(payload), err
 	}
 	t.payload = append(t.payload[:0], payload...)
 	if err := t.cur.start(t.payload); err != nil {
 		return claimedCount(payload), err
 	}
-	t.pendOff += len(FrameMagic) + c.Offset()
+	t.pendOff += n
 	t.inFrame = true
 	t.stats.Frames++
 	return 0, nil

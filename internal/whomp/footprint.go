@@ -11,17 +11,6 @@ func (s *SCC) Footprint() int64 {
 	return n
 }
 
-// Footprint reports the pipeline's approximate live bytes (OMC + SCC).
-// The parallel SCC does not account — governed runs are sequential — so
-// it contributes zero.
-func (p *Profiler) Footprint() int64 {
-	n := p.omc.Footprint()
-	if f, ok := p.scc.(interface{ Footprint() int64 }); ok {
-		n += f.Footprint()
-	}
-	return n
-}
-
 // Footprint reports the raw-address profiler's approximate live bytes.
 func (r *RASG) Footprint() int64 {
 	return r.Instr.Footprint() + r.Addr.Footprint()

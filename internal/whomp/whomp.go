@@ -85,7 +85,6 @@ type grammarSCC interface {
 // Profiler bundles the full WHOMP pipeline: OMC + CDC + SCC. It is a
 // trace.Sink; feed it the probe event stream and call Profile when done.
 type Profiler struct {
-	omc *omc.OMC
 	scc grammarSCC
 	cdc *profiler.CDC
 }
@@ -93,9 +92,8 @@ type Profiler struct {
 // New creates a WHOMP profiler. siteNames optionally names allocation sites
 // (static symbols); it may be nil.
 func New(siteNames map[trace.SiteID]string) *Profiler {
-	o := omc.New(siteNames)
 	scc := NewSCC()
-	return &Profiler{omc: o, scc: scc, cdc: profiler.NewCDC(o, scc)}
+	return &Profiler{scc: scc, cdc: profiler.NewCDC(omc.New(siteNames), scc)}
 }
 
 // NewParallel creates a WHOMP profiler whose four dimension grammars build
@@ -108,13 +106,16 @@ func NewParallel(siteNames map[trace.SiteID]string, workers int) *Profiler {
 	if profiler.DefaultWorkers(workers) <= 1 {
 		return New(siteNames)
 	}
-	o := omc.New(siteNames)
 	scc := NewParallelSCC()
-	return &Profiler{omc: o, scc: scc, cdc: profiler.NewCDC(o, scc)}
+	return &Profiler{scc: scc, cdc: profiler.NewCDC(omc.New(siteNames), scc)}
 }
 
 // Emit implements trace.Sink.
 func (p *Profiler) Emit(e trace.Event) { p.cdc.Emit(e) }
+
+// Footprint reports the pipeline's approximate live bytes (see
+// profiler.CDC.Footprint).
+func (p *Profiler) Footprint() int64 { return p.cdc.Footprint() }
 
 // Err reports the profiler's first pipeline fault: a *profiler.WorkerError
 // if a grammar worker panicked. Sequential profilers always report nil.
@@ -127,7 +128,7 @@ func (p *Profiler) Err() error {
 }
 
 // OMC exposes the profiler's object-management component.
-func (p *Profiler) OMC() *omc.OMC { return p.omc }
+func (p *Profiler) OMC() *omc.OMC { return p.cdc.OMC }
 
 // Profile finalizes collection and returns the profile. For a parallel
 // profiler this joins the grammar workers first, so the returned profile is
@@ -138,7 +139,7 @@ func (p *Profiler) Profile(workload string) *Profile {
 		Workload: workload,
 		Records:  p.scc.Records(),
 		Grammars: p.scc.Grammars(),
-		Objects:  FromOMC(p.omc),
+		Objects:  FromOMC(p.cdc.OMC),
 	}
 }
 
